@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/isa"
@@ -53,6 +54,26 @@ func TestValidateRejectsBadParams(t *testing.T) {
 	a.LoadMissRate = -0.1
 	if err := a.Validate(); err == nil {
 		t.Error("negative miss rate accepted")
+	}
+	a = PentiumIII500()
+	a.PredictAccuracy = math.NaN()
+	if err := a.Validate(); err == nil {
+		t.Error("NaN accuracy accepted")
+	}
+	a = PentiumIII500()
+	a.FPAdd.Latency = math.Inf(1)
+	if err := a.Validate(); err == nil {
+		t.Error("infinite latency accepted")
+	}
+	a = PentiumIII500()
+	a.MispredictPenalty = -1
+	if err := a.Validate(); err == nil {
+		t.Error("negative mispredict penalty accepted")
+	}
+	a = PentiumIII500()
+	a.LoadMissPenalty = math.Inf(1)
+	if err := a.Validate(); err == nil {
+		t.Error("infinite miss penalty accepted")
 	}
 }
 

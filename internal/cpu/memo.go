@@ -12,15 +12,18 @@ import (
 // CMS+VLIW for the Crusoe) at each call site. This file memoizes
 // CalibrateFor process-wide.
 //
-// The memo key is (processor name, clock, miss rate): a processor's name
-// and clock identify its timing model everywhere in this repo. Callers
-// who mutate a model's parameters without renaming it must use
-// CalibrateForUncached (the ablation bypass) or ResetCalibCache.
+// The memo key is (processor name, clock, warm start, miss rate): a
+// processor's name and clock identify its timing model everywhere in
+// this repo, and a warm-start Crusoe calibrates to different costs than
+// a cold one of the same name. Callers who mutate a model's parameters
+// without renaming it must use CalibrateForUncached (the ablation
+// bypass) or ResetCalibCache.
 
 type calibKey struct {
-	name     string
-	clockMHz float64
-	missRate float64
+	name      string
+	clockMHz  float64
+	warmStart bool
+	missRate  float64
 }
 
 type calibEntry struct {
@@ -48,6 +51,9 @@ func CalibMemoSource() obs.Source { return calibReg }
 // that one run. Safe for concurrent use.
 func CalibrateFor(p Processor, missRate float64) (EffCosts, error) {
 	key := calibKey{name: p.Name(), clockMHz: p.ClockMHz(), missRate: missRate}
+	if c, ok := p.(*Crusoe); ok {
+		key.warmStart = c.WarmStart
+	}
 	v, _ := calibMemo.LoadOrStore(key, &calibEntry{})
 	e := v.(*calibEntry)
 	first := false

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/kernels"
+	"repro/internal/par"
 )
 
 // TestCalibrateForMemoized asserts the second calibration of the same
@@ -135,5 +136,75 @@ func TestCrusoeWarmStart(t *testing.T) {
 	}
 	if st.Translations == 0 {
 		t.Fatalf("expected translations in warm stats: %+v", st)
+	}
+}
+
+// TestCalibrateForWarmThenCold asserts a warm-start Crusoe has its own
+// memo identity: calibrating one first must not hand its costs to a
+// later cold calibration of the same model.
+func TestCalibrateForWarmThenCold(t *testing.T) {
+	ResetCalibCache()
+	defer ResetCalibCache()
+	warm := NewTM5600()
+	warm.WarmStart = true
+	warmCosts, err := CalibrateFor(warm, MissRateTree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := CalibrateFor(NewTM5600(), MissRateTree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := CalibrateForUncached(NewTM5600(), MissRateTree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold != want {
+		t.Fatalf("cold costs after a warm calibration: %v, want %v", cold.Cost, want.Cost)
+	}
+	if warmCosts == cold {
+		t.Fatalf("warm and cold calibrations agree; the test no longer separates them")
+	}
+	if _, misses := CalibCacheCounters(); misses != 2 {
+		t.Fatalf("misses=%d, want 2 (one per memo identity)", misses)
+	}
+}
+
+// TestCalibrateDeterministicAcrossWorkers asserts the parallel
+// calibration gives bit-identical costs at any pool width, for every
+// preset and both Crusoe models with gears off and on.
+func TestCalibrateDeterministicAcrossWorkers(t *testing.T) {
+	t.Cleanup(func() { par.SetWorkers(0) })
+	var procs []Processor
+	for _, a := range allArchs() {
+		procs = append(procs, a.AsProcessor())
+	}
+	for _, gears := range []bool{false, true} {
+		for _, c := range []*Crusoe{NewTM5600(), NewTM5800()} {
+			c.Gears = gears
+			procs = append(procs, c)
+		}
+	}
+	if raceDetector {
+		// The race detector checks how the pool shares the cost slots,
+		// which every processor exercises alike; at its slowdown the
+		// full list takes minutes, so it checks an out-of-order core,
+		// an in-order core and a Crusoe. The plain build checks all.
+		procs = []Processor{PentiumIII500().AsProcessor(), Alpha21064_150().AsProcessor(), NewTM5600()}
+	}
+	for _, p := range procs {
+		var first EffCosts
+		for i, w := range []int{1, 2, 8} {
+			par.SetWorkers(w)
+			got, err := CalibrateForUncached(p, MissRateTree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				first = got
+			} else if got != first {
+				t.Fatalf("%s: costs at %d workers %v, at 1 worker %v", p.Name(), w, got.Cost, first.Cost)
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/kernels"
+	"repro/internal/par"
 )
 
 // EffCosts is the coarse op-mix cost model: effective cycles per operation
@@ -25,19 +26,36 @@ type EffCosts struct {
 // billions of iterations.
 const CalibIters = 200_000
 
-// Calibrate measures the effective per-class costs of a processor.
+// Calibrate measures the effective per-class costs of a processor. The
+// kernels run concurrently on the par pool, each writing its own slot,
+// so the costs do not depend on scheduling. A warm-start Crusoe runs
+// them serially in kernel order: each kernel inherits the translation
+// cache the previous ones left behind.
 func Calibrate(p Processor) (EffCosts, error) {
 	e := EffCosts{Processor: p.Name(), ClockMHz: p.ClockMHz()}
-	for _, k := range kernels.CalibKernels() {
-		prog, st, err := k.Build(CalibIters)
-		if err != nil {
-			return e, fmt.Errorf("cpu: calibrate %s/%s: %w", p.Name(), k.Name, err)
+	ks := kernels.CalibKernels()
+	cycles := make([]float64, len(ks))
+	errs := make([]error, len(ks))
+	pool := par.Default()
+	if c, ok := p.(*Crusoe); ok && c.WarmStart {
+		pool = par.New(1)
+	}
+	pool.For(len(ks), 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			prog, st, err := ks[i].Build(CalibIters)
+			if err == nil {
+				var res RunResult
+				res, err = p.RunKernel(prog, st)
+				cycles[i] = res.Cycles
+			}
+			errs[i] = err
 		}
-		res, err := p.RunKernel(prog, st)
-		if err != nil {
-			return e, fmt.Errorf("cpu: calibrate %s/%s: %w", p.Name(), k.Name, err)
+	})
+	for i, k := range ks {
+		if errs[i] != nil {
+			return e, fmt.Errorf("cpu: calibrate %s/%s: %w", p.Name(), k.Name, errs[i])
 		}
-		e.Cost[k.Class] = res.Cycles / float64(CalibIters*k.OpsPerIteration())
+		e.Cost[k.Class] = cycles[i] / float64(CalibIters*k.OpsPerIteration())
 	}
 	// Branches and nops ride along inside the calibration loop bodies;
 	// charge branches like simple ALU ops and nops free.
@@ -93,16 +111,7 @@ func (e EffCosts) Mops(ops float64, mix *isa.Trace) float64 {
 func CalibrateForUncached(p Processor, missRate float64) (EffCosts, error) {
 	switch pr := p.(type) {
 	case archProcessor:
-		a := *pr.a
-		scale := a.MissScale
-		if scale == 0 {
-			scale = 1
-		}
-		a.LoadMissRate = missRate * scale
-		if a.LoadMissRate > 1 {
-			a.LoadMissRate = 1
-		}
-		return Calibrate(a.AsProcessor())
+		return Calibrate(pr.a.withMissRate(missRate).AsProcessor())
 	case *Crusoe:
 		c := pr.Clone()
 		c.Timing.LoadLatency += int(missRate*10 + 0.5)
@@ -110,6 +119,21 @@ func CalibrateForUncached(p Processor, missRate float64) (EffCosts, error) {
 	default:
 		return Calibrate(p)
 	}
+}
+
+// withMissRate returns a copy of the arch whose LoadMissRate is the
+// workload's miss rate scaled by MissScale, capped at 1.
+func (a *Arch) withMissRate(missRate float64) *Arch {
+	b := *a
+	scale := b.MissScale
+	if scale == 0 {
+		scale = 1
+	}
+	b.LoadMissRate = missRate * scale
+	if b.LoadMissRate > 1 {
+		b.LoadMissRate = 1
+	}
+	return &b
 }
 
 // Workload-class miss rates used by the experiment drivers.

@@ -18,7 +18,8 @@ type Processor interface {
 	Name() string
 	// ClockMHz is the core clock.
 	ClockMHz() float64
-	// RunKernel executes the program to completion, timing it.
+	// RunKernel executes the program to completion, timing it. It must
+	// be safe for concurrent use: Calibrate runs its kernels in parallel.
 	RunKernel(p isa.Program, st *isa.State) (RunResult, error)
 }
 

@@ -10,6 +10,7 @@ package cpu
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/cms"
 	"repro/internal/isa"
@@ -79,18 +80,26 @@ func (a *Arch) Validate() error {
 		return fmt.Errorf("cpu: %s: out-of-order core needs a window", a.Name)
 	}
 	for _, u := range []UnitSpec{a.IntALU, a.IntMul, a.Mem, a.FPAdd, a.FPMul, a.FPDiv, a.FPSqrt} {
-		if u.Count <= 0 || u.Latency <= 0 || u.RecipThroughput <= 0 {
-			return fmt.Errorf("cpu: %s: unit spec must be positive: %+v", a.Name, u)
+		if u.Count <= 0 || !finitePositive(u.Latency) || !finitePositive(u.RecipThroughput) {
+			return fmt.Errorf("cpu: %s: unit spec must be positive and finite: %+v", a.Name, u)
 		}
 	}
-	if a.PredictAccuracy < 0 || a.PredictAccuracy > 1 {
+	if !(a.PredictAccuracy >= 0 && a.PredictAccuracy <= 1) {
 		return fmt.Errorf("cpu: %s: predict accuracy out of [0,1]", a.Name)
 	}
-	if a.LoadMissRate < 0 || a.LoadMissRate > 1 {
+	if !(a.LoadMissRate >= 0 && a.LoadMissRate <= 1) {
 		return fmt.Errorf("cpu: %s: load miss rate out of [0,1]", a.Name)
+	}
+	// The scoreboard relies on a finite dispatch clock that never moves
+	// back.
+	if !finiteNonNegative(a.LoadMissPenalty) || !finiteNonNegative(a.MispredictPenalty) {
+		return fmt.Errorf("cpu: %s: penalties must be non-negative and finite", a.Name)
 	}
 	return nil
 }
+
+func finitePositive(x float64) bool    { return x > 0 && x <= math.MaxFloat64 }
+func finiteNonNegative(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
 
 func (a *Arch) unitFor(c isa.Class) *UnitSpec {
 	switch c {
@@ -148,8 +157,16 @@ type simState struct {
 	readyR     [isa.NumRegs]float64
 	readyF     [isa.NumRegs]float64
 	readyFlags float64
-	// Per-class unit schedules.
-	sched map[isa.Class]*classSched
+	// Per-class unit schedules, created on a class's first instruction.
+	// Load and Store share the Mem unit spec but book separate schedules.
+	sched  [isa.NumClasses]classSched
+	booked [isa.NumClasses]bool
+	// Per-class completion latency (a load's includes the expected miss
+	// cost).
+	lat [isa.NumClasses]float64
+	// 1/IssueWidth, and the expected front-end stall per taken branch.
+	dispatchStep float64
+	branchStall  float64
 	// Front-end dispatch clock (advances 1/IssueWidth per instruction).
 	dispatch float64
 	// Most recent execution-start cycle (in-order issue constraint).
@@ -158,6 +175,24 @@ type simState struct {
 	ring    []float64
 	ringPos int
 	cycles  float64
+}
+
+func newSimState(a *Arch) *simState {
+	s := &simState{
+		arch:         a,
+		dispatchStep: 1 / float64(a.IssueWidth),
+		branchStall:  (1 - a.PredictAccuracy) * a.MispredictPenalty,
+	}
+	for c := range s.lat {
+		s.lat[c] = a.unitFor(isa.Class(c)).Latency
+		if isa.Class(c) == isa.ClassLoad {
+			s.lat[c] += a.LoadMissRate * a.LoadMissPenalty
+		}
+	}
+	if !a.InOrder {
+		s.ring = make([]float64, a.Window)
+	}
+	return s
 }
 
 // Run executes the program with isa semantics while timing each dynamic
@@ -170,9 +205,10 @@ func (a *Arch) Run(p isa.Program, st *isa.State, fuel uint64) (RunResult, error)
 	if err := p.Validate(); err != nil {
 		return res, err
 	}
-	ss := &simState{arch: a, sched: map[isa.Class]*classSched{}}
-	if !a.InOrder {
-		ss.ring = make([]float64, a.Window)
+	ss := newSimState(a)
+	dec := make([]decoded, len(p))
+	for i, in := range p {
+		dec[i] = decode(in)
 	}
 	executed := uint64(0)
 	for !st.Halted {
@@ -182,7 +218,7 @@ func (a *Arch) Run(p isa.Program, st *isa.State, fuel uint64) (RunResult, error)
 		if st.PC < 0 || st.PC >= len(p) {
 			return res, fmt.Errorf("cpu: PC %d out of range", st.PC)
 		}
-		in := p[st.PC]
+		in := &dec[st.PC]
 		takenBefore := res.Trace.Taken
 		if err := isa.Step(p, st, &res.Trace); err != nil {
 			return res, err
@@ -198,10 +234,9 @@ func (a *Arch) Run(p isa.Program, st *isa.State, fuel uint64) (RunResult, error)
 
 // time advances the scoreboard for one dynamic instruction and returns
 // the execution-start cycle (useful for tests and debugging).
-func (s *simState) time(in isa.Instr, taken bool) float64 {
+func (s *simState) time(in *decoded, taken bool) float64 {
 	a := s.arch
-	c := isa.ClassOf(in.Op)
-	u := a.unitFor(c)
+	c := in.class
 
 	// Front end: in-order dispatch at IssueWidth/cycle, blocked while the
 	// window is full (the instruction Window slots older must complete
@@ -212,22 +247,28 @@ func (s *simState) time(in isa.Instr, taken bool) float64 {
 			d = oldest
 		}
 	}
-	s.dispatch = d + 1/float64(a.IssueWidth)
+	s.dispatch = d + s.dispatchStep
+
+	// No later instruction starts before d, nor, in order, before
+	// lastIssue: the unit schedules may forget what lies further back.
+	lo := d
+	if a.InOrder && s.lastIssue > lo {
+		lo = s.lastIssue
+	}
 
 	// Execution start: dispatched, operands ready, unit free.
 	t := d
-	rI, rF, rFl := srcRegs(in)
-	for _, r := range rI {
+	for _, r := range in.srcI[:in.nSrcI] {
 		if s.readyR[r] > t {
 			t = s.readyR[r]
 		}
 	}
-	for _, r := range rF {
+	for _, r := range in.srcF[:in.nSrcF] {
 		if s.readyF[r] > t {
 			t = s.readyF[r]
 		}
 	}
-	if rFl && s.readyFlags > t {
+	if in.readsFlags && s.readyFlags > t {
 		t = s.readyFlags
 	}
 	if a.InOrder && s.lastIssue > t {
@@ -235,38 +276,36 @@ func (s *simState) time(in isa.Instr, taken bool) float64 {
 	}
 
 	// Functional-unit availability.
-	cs := s.sched[c]
-	if cs == nil {
-		cs = newClassSched(u)
-		s.sched[c] = cs
+	cs := &s.sched[c]
+	if !s.booked[c] {
+		*cs = newClassSched(a.unitFor(c))
+		s.booked[c] = true
 	}
-	t = cs.acquire(t)
+	t = cs.acquire(t, int64(math.Floor(lo)))
 	s.lastIssue = t
 
 	// Completion.
-	lat := u.Latency
-	if c == isa.ClassLoad {
-		lat += a.LoadMissRate * a.LoadMissPenalty
+	done := t + s.lat[c]
+	switch in.dst {
+	case regInt:
+		s.readyR[in.rd] = done
+	case regFP:
+		s.readyF[in.rd] = done
 	}
-	done := t + lat
-	if wI, wF := dstReg(in); wI != nil {
-		s.readyR[*wI] = done
-	} else if wF != nil {
-		s.readyF[*wF] = done
-	}
-	if writesFlags(in.Op) {
+	if in.writesFlags {
 		s.readyFlags = done
 	}
 	if !a.InOrder {
 		s.ring[s.ringPos] = done
-		s.ringPos = (s.ringPos + 1) % len(s.ring)
+		if s.ringPos++; s.ringPos == len(s.ring) {
+			s.ringPos = 0
+		}
 	}
 
 	// Branch handling: a mispredicted taken branch stalls the front end
 	// from the branch's resolution; applied as an expected value.
 	if taken {
-		stall := (1 - a.PredictAccuracy) * a.MispredictPenalty
-		s.dispatch += stall
+		s.dispatch += s.branchStall
 	}
 	if done > s.cycles {
 		s.cycles = done
@@ -277,41 +316,56 @@ func (s *simState) time(in isa.Instr, taken bool) float64 {
 	return t
 }
 
-func writesFlags(op isa.Op) bool {
-	return op == isa.Cmp || op == isa.CmpI || op == isa.FCmp
+// decoded holds what the scoreboard needs of one static instruction,
+// decoded once per run.
+type decoded struct {
+	class        isa.Class
+	srcI, srcF   [2]uint8 // source registers by file
+	nSrcI, nSrcF uint8
+	readsFlags   bool
+	writesFlags  bool
+	dst          regKind
+	rd           uint8
 }
 
-func srcRegs(in isa.Instr) (ints, fps []uint8, flags bool) {
+// regKind names the register file an instruction writes.
+type regKind uint8
+
+const (
+	regNone regKind = iota
+	regInt
+	regFP
+)
+
+func decode(in isa.Instr) decoded {
+	d := decoded{class: isa.ClassOf(in.Op), rd: in.Rd}
 	switch in.Op {
 	case isa.Mov, isa.AddI, isa.SubI, isa.Shl, isa.Shr, isa.CmpI, isa.CvtIF, isa.Ld, isa.FLd:
-		ints = []uint8{in.Ra}
-	case isa.Add, isa.Sub, isa.Mul, isa.And, isa.Or, isa.Xor, isa.Cmp:
-		ints = []uint8{in.Ra, in.Rb}
-	case isa.St:
-		ints = []uint8{in.Ra, in.Rb}
+		d.srcI, d.nSrcI = [2]uint8{in.Ra}, 1
+	case isa.Add, isa.Sub, isa.Mul, isa.And, isa.Or, isa.Xor, isa.Cmp, isa.St:
+		d.srcI, d.nSrcI = [2]uint8{in.Ra, in.Rb}, 2
 	case isa.FSt:
-		ints = []uint8{in.Ra}
-		fps = []uint8{in.Rb}
+		d.srcI, d.nSrcI = [2]uint8{in.Ra}, 1
+		d.srcF, d.nSrcF = [2]uint8{in.Rb}, 1
 	case isa.FMov, isa.FSqrt, isa.FNeg, isa.FAbs, isa.CvtFI:
-		fps = []uint8{in.Ra}
+		d.srcF, d.nSrcF = [2]uint8{in.Ra}, 1
 	case isa.FAdd, isa.FSub, isa.FMul, isa.FDiv, isa.FCmp:
-		fps = []uint8{in.Ra, in.Rb}
+		d.srcF, d.nSrcF = [2]uint8{in.Ra, in.Rb}, 2
 	case isa.Jz, isa.Jnz, isa.Jl, isa.Jle, isa.Jg, isa.Jge:
-		flags = true
+		d.readsFlags = true
 	}
-	return
-}
-
-func dstReg(in isa.Instr) (ints, fps *uint8) {
 	switch in.Op {
 	case isa.MovI, isa.Mov, isa.Add, isa.AddI, isa.Sub, isa.SubI, isa.Mul,
 		isa.And, isa.Or, isa.Xor, isa.Shl, isa.Shr, isa.Ld, isa.CvtFI:
-		d := in.Rd
-		return &d, nil
+		d.dst = regInt
 	case isa.FLd, isa.FMovI, isa.FMov, isa.FAdd, isa.FSub, isa.FMul,
 		isa.FDiv, isa.FSqrt, isa.FNeg, isa.FAbs, isa.CvtIF:
-		d := in.Rd
-		return nil, &d
+		d.dst = regFP
 	}
-	return nil, nil
+	d.writesFlags = writesFlags(in.Op)
+	return d
+}
+
+func writesFlags(op isa.Op) bool {
+	return op == isa.Cmp || op == isa.CmpI || op == isa.FCmp
 }
