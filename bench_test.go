@@ -320,10 +320,11 @@ func BenchmarkTreecodeTheta(b *testing.B) {
 	}
 }
 
-// BenchmarkForceEngines races the three force-evaluation engines —
-// the recursive walk, the bit-identical interaction-list engine, and
-// the amortized group walk — single-threaded over a prebuilt tree, at
-// the two sizes EXPERIMENTS.md records (one op = a full force sweep).
+// BenchmarkForceEngines races the four force-evaluation engines —
+// the recursive walk, the bit-identical interaction-list engine, the
+// amortized group walk and the dual-tree walk — single-threaded over a
+// prebuilt tree, at the two sizes EXPERIMENTS.md records (one op = a
+// full force sweep).
 func BenchmarkForceEngines(b *testing.B) {
 	for _, n := range []int{4096, 65536} {
 		sys := nbody.NewPlummer(n, 1, 2001)

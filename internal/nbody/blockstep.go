@@ -24,7 +24,8 @@ import (
 // active subset of targets: when active is non-nil, only particles
 // with active[i] true get their accelerations recomputed; the rest
 // keep their previous values. Sources always cover every particle at
-// its current position. A nil mask must be equivalent to Forces.
+// its current position. A nil mask must be equivalent to Forces; a
+// non-nil mask whose length is not s.N() is an error.
 type ActiveForcer interface {
 	Forcer
 	ForcesActive(s *System, active []bool) error
@@ -38,6 +39,9 @@ func (DirectForcer) ForcesActive(s *System, active []bool) error {
 		return nil
 	}
 	n := s.N()
+	if len(active) != n {
+		return fmt.Errorf("nbody: active mask has %d entries for %d particles", len(active), n)
+	}
 	eps2 := s.Eps * s.Eps
 	updated := 0
 	for i := 0; i < n; i++ {

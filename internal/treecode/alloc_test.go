@@ -1,6 +1,7 @@
 package treecode
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/nbody"
@@ -25,42 +26,52 @@ func TestForceAtListZeroAlloc(t *testing.T) {
 }
 
 // TestGroupForceLeafZeroAlloc pins the group-walk leaf evaluation at
-// zero allocations per call once the arena is warm.
+// zero allocations per call once the arena is warm, on the monopole
+// (two-lane kernel) and quadrupole cell paths.
 func TestGroupForceLeafZeroAlloc(t *testing.T) {
 	s := nbody.NewPlummer(4000, 1, 13)
-	tr := buildFromSystem(t, s, BuildOptions{Quadrupole: true})
-	leaves := tr.AppendLeaves(nil)
-	ar := NewWalkArena()
-	var st Stats
-	k := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		tr.GroupForceLeaf(leaves[k], 0.7, s.Eps, ar, &st)
-		k = (k + 1) % len(leaves)
-	})
-	if allocs != 0 {
-		t.Fatalf("GroupForceLeaf allocates %.1f times per call, want 0", allocs)
+	for _, quad := range []bool{false, true} {
+		t.Run(fmt.Sprintf("quad=%v", quad), func(t *testing.T) {
+			tr := buildFromSystem(t, s, BuildOptions{Quadrupole: quad})
+			leaves := tr.AppendLeaves(nil)
+			ar := NewWalkArena()
+			var st Stats
+			k := 0
+			allocs := testing.AllocsPerRun(200, func() {
+				tr.GroupForceLeaf(leaves[k], 0.7, s.Eps, ar, &st)
+				k = (k + 1) % len(leaves)
+			})
+			if allocs != 0 {
+				t.Fatalf("GroupForceLeaf allocates %.1f times per call, want 0", allocs)
+			}
+		})
 	}
 }
 
 // TestDualForceWalkZeroAlloc pins the dual-tree task walk at zero
 // allocations per call once the arena (lists, target buffers, and the
-// undecided-source stack) is warm.
+// undecided-source stack) is warm, on the monopole (two-lane kernel)
+// and quadrupole cell paths.
 func TestDualForceWalkZeroAlloc(t *testing.T) {
 	s := nbody.NewPlummer(4000, 1, 13)
-	tr := buildFromSystem(t, s, BuildOptions{Quadrupole: true})
-	tasks := tr.AppendGroups(nil, DualTaskSize)
-	ar := NewWalkArena()
-	var st Stats
-	for _, ti := range tasks {
-		tr.DualForceWalk(ti, 0.7, s.Eps, 0, nil, ar, &st)
-	}
-	k := 0
-	allocs := testing.AllocsPerRun(50, func() {
-		tr.DualForceWalk(tasks[k], 0.7, s.Eps, 0, nil, ar, &st)
-		k = (k + 1) % len(tasks)
-	})
-	if allocs != 0 {
-		t.Fatalf("DualForceWalk allocates %.1f times per call, want 0", allocs)
+	for _, quad := range []bool{false, true} {
+		t.Run(fmt.Sprintf("quad=%v", quad), func(t *testing.T) {
+			tr := buildFromSystem(t, s, BuildOptions{Quadrupole: quad})
+			tasks := tr.AppendGroups(nil, DualTaskSize)
+			ar := NewWalkArena()
+			var st Stats
+			for _, ti := range tasks {
+				tr.DualForceWalk(ti, 0.7, s.Eps, 0, nil, ar, &st)
+			}
+			k := 0
+			allocs := testing.AllocsPerRun(50, func() {
+				tr.DualForceWalk(tasks[k], 0.7, s.Eps, 0, nil, ar, &st)
+				k = (k + 1) % len(tasks)
+			})
+			if allocs != 0 {
+				t.Fatalf("DualForceWalk allocates %.1f times per call, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -295,3 +295,46 @@ func TestDualTelemetry(t *testing.T) {
 		t.Fatalf("fewer groups %d than tasks %d", groups, tasks)
 	}
 }
+
+// TestForcesActiveMaskLength: a non-nil active mask whose length is not
+// the particle count is an error, not an index panic, for the direct
+// forcer and for the treecode forcer on the list and dual engines; the
+// accelerations stay untouched.
+func TestForcesActiveMaskLength(t *testing.T) {
+	const n = 200
+	forcers := []struct {
+		name string
+		f    nbody.ActiveForcer
+	}{
+		{"direct", nbody.DirectForcer{}},
+		{"treecode/list", &Forcer{Theta: 0.7, Engine: EngineList}},
+		{"treecode/dual", &Forcer{Theta: 0.7, Engine: EngineDual}},
+	}
+	masks := []struct {
+		name   string
+		active []bool
+	}{
+		{"short", make([]bool, 10)},
+		{"empty", []bool{}},
+		{"long", make([]bool, n+1)},
+	}
+	for _, fc := range forcers {
+		for _, m := range masks {
+			t.Run(fc.name+"/"+m.name, func(t *testing.T) {
+				s := nbody.NewPlummer(n, 1, 3)
+				const sentinel = 42.5
+				for i := range s.AX {
+					s.AX[i] = sentinel
+				}
+				if err := fc.f.ForcesActive(s, m.active); err == nil {
+					t.Fatalf("mask of length %d for %d particles accepted", len(m.active), n)
+				}
+				for i, a := range s.AX {
+					if a != sentinel {
+						t.Fatalf("rejected call overwrote particle %d", i)
+					}
+				}
+			})
+		}
+	}
+}

@@ -182,9 +182,9 @@ func (d *dualState) target(ni int32, ulo, uhi int, eps float64, st *Stats) {
 func (d *dualState) refine(u int32) {
 	n := &d.wn[u]
 	d.ar.pendDualMAC++
-	dx := math.Max(0, math.Abs(n.cx-d.tx)-d.hx)
-	dy := math.Max(0, math.Abs(n.cy-d.ty)-d.hy)
-	dz := math.Max(0, math.Abs(n.cz-d.tz)-d.hz)
+	dx := max(0, math.Abs(n.cx-d.tx)-d.hx)
+	dy := max(0, math.Abs(n.cy-d.ty)-d.hy)
+	dz := max(0, math.Abs(n.cz-d.tz)-d.hz)
 	dmin2 := dx*dx + dy*dy + dz*dz
 	if n.size2 < d.th2*dmin2 && (dmin2 > 3*n.size2 ||
 		boxDisjointAABB(d.wb[u], d.tx, d.ty, d.tz, d.hx, d.hy, d.hz)) {

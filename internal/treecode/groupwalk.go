@@ -117,9 +117,9 @@ func (t *Tree) appendGroupInteractions(ar *WalkArena, li int32, theta float64, s
 	tz, hz = (tz+hz)/2, (hz-tz)/2
 	for i := 0; i < len(wn); {
 		n := &wn[i]
-		dx := math.Max(0, math.Abs(n.cx-tx)-hx)
-		dy := math.Max(0, math.Abs(n.cy-ty)-hy)
-		dz := math.Max(0, math.Abs(n.cz-tz)-hz)
+		dx := max(0, math.Abs(n.cx-tx)-hx)
+		dy := max(0, math.Abs(n.cy-ty)-hy)
+		dz := max(0, math.Abs(n.cz-tz)-hz)
 		dmin2 := dx*dx + dy*dy + dz*dz
 		if n.size2 < th2*dmin2 && (dmin2 > 3*n.size2 ||
 			boxDisjointAABB(wb[i], tx, ty, tz, hx, hy, hz)) {
@@ -203,39 +203,63 @@ func (t *Tree) groupForceLeaf(li int32, theta, eps float64, sel *Selection, ar *
 // [first, first+count), appending (index, acceleration) rows to the
 // arena's target buffers. It is the single evaluation path behind the
 // group and dual engines, and the one place their softening handling
-// lives. Stats count per-target interactions exactly as the
-// per-particle walk would (self-matches are excluded from PP).
+// lives. Targets run in pairs through the two-lane kernels (an odd
+// last target pairs with itself and its second lane is dropped);
+// quadrupole cells run the scalar kernel once per lane. Stats count
+// per-target interactions exactly as the per-particle walk would
+// (self-matches are excluded from PP).
 func (t *Tree) evalTargets(first, count int32, eps float64, sel *Selection, ar *WalkArena, st *Stats) {
 	eps2 := softening2(eps)
 	cells := len(ar.cm)
 	parts := len(ar.pm)
 	quad := t.Quadrupole
+	end := first + count
 	targets := 0
-	for i := first; i < first+count; i++ {
-		s := &t.Sources[i]
-		if !sel.selected(s) {
-			continue
+	var p pairAcc
+	for i := t.nextTarget(first, end, sel); i < end; {
+		s0, s1 := &t.Sources[i], &t.Sources[i]
+		lanes, next := 1, end
+		if j := t.nextTarget(i+1, end, sel); j < end {
+			s1, lanes = &t.Sources[j], 2
+			next = t.nextTarget(j+1, end, sel)
 		}
-		var ax, ay, az float64
+		p.x = [2]float64{s0.X, s1.X}
+		p.y = [2]float64{s0.Y, s1.Y}
+		p.z = [2]float64{s0.Z, s1.Z}
+		p.self = [2]int32{int32(s0.Index), int32(s1.Index)}
+		p.ax, p.ay, p.az = [2]float64{}, [2]float64{}, [2]float64{}
 		if quad {
-			ax, ay, az = ar.evalCellsQuad(s.X, s.Y, s.Z, eps2, 0, cells, ax, ay, az)
+			for k := range 2 {
+				p.ax[k], p.ay[k], p.az[k] = ar.evalCellsQuad(p.x[k], p.y[k], p.z[k], eps2, 0, cells, 0, 0, 0)
+			}
 		} else {
-			ax, ay, az = ar.evalCellsMono(s.X, s.Y, s.Z, eps2, 0, cells, ax, ay, az)
+			ar.pairCellsMono(eps2, &p)
 		}
-		var skipped int
-		ax, ay, az, skipped = ar.evalPartsExcept(s.X, s.Y, s.Z, eps2, int32(s.Index), 0, parts, ax, ay, az)
-		st.PC += uint64(cells)
-		st.PP += uint64(parts - skipped)
-		ar.tIdx = append(ar.tIdx, int32(s.Index))
-		ar.tax = append(ar.tax, ax)
-		ar.tay = append(ar.tay, ay)
-		ar.taz = append(ar.taz, az)
-		targets++
+		ar.pairPartsExcept(eps2, &p)
+		for k := range lanes {
+			st.PC += uint64(cells)
+			st.PP += uint64(parts) - p.skip[k]
+			ar.tIdx = append(ar.tIdx, p.self[k])
+			ar.tax = append(ar.tax, p.ax[k])
+			ar.tay = append(ar.tay, p.ay[k])
+			ar.taz = append(ar.taz, p.az[k])
+		}
+		targets += lanes
+		i = next
 	}
 	if targets > 1 {
 		// One traversal served `targets` particles: targets−1 walks saved.
 		ar.pendSaved += uint64(targets - 1)
 	}
+}
+
+// nextTarget returns the first selected real target among sorted
+// sources [i, end), or end when there is none.
+func (t *Tree) nextTarget(i, end int32, sel *Selection) int32 {
+	for i < end && !sel.selected(&t.Sources[i]) {
+		i++
+	}
+	return i
 }
 
 // NumTargets reports how many targets the last GroupForceLeaf filled.

@@ -571,8 +571,12 @@ func (f *Forcer) Forces(s *nbody.System) error { return f.ForcesActive(s, nil) }
 // active is non-nil only particles with active[i] true get their
 // accelerations recomputed (the block-timestep integrator's active
 // rung); the rest keep their previous values. The tree — the source
-// side — always covers every particle at its current position.
+// side — always covers every particle at its current position. A
+// non-nil mask whose length is not s.N() is an error.
 func (f *Forcer) ForcesActive(s *nbody.System, active []bool) error {
+	if active != nil && len(active) != s.N() {
+		return fmt.Errorf("treecode: active mask has %d entries for %d particles", len(active), s.N())
+	}
 	theta := f.Theta
 	if theta <= 0 {
 		theta = 0.7

@@ -362,9 +362,11 @@ func (ar *WalkArena) evalParts(x, y, z, eps2 float64, lo, hi int, ax, ay, az flo
 }
 
 // evalPartsExcept is evalParts with per-target self-exclusion by
-// particle index — the group engine's leaf kernel, where one list
-// serves every target of a bucket. Returns the number of excluded
-// entries so the caller's PP count matches the per-particle walk's.
+// particle index — the scalar form of the group and dual engines' leaf
+// kernel, where one list serves every target of a bucket; the two-lane
+// pairPartsExcept must match it bit for bit. Returns the number of
+// excluded entries so the caller's PP count matches the per-particle
+// walk's.
 func (ar *WalkArena) evalPartsExcept(x, y, z, eps2 float64, selfIdx int32, lo, hi int, ax, ay, az float64) (float64, float64, float64, int) {
 	sx, sy, sz, sm, idx := ar.px, ar.py, ar.pz, ar.pm, ar.pidx
 	skipped := 0
