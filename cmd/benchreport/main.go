@@ -148,8 +148,24 @@ func gravMicroEntries() []Entry {
 	return out
 }
 
+// stepDT is the leapfrog kick the treecode step entries drift their
+// system by before every force call.
+const stepDT = 0.005
+
+// drift advances every particle by one stepDT of its velocity — the
+// per-op motion shared by treecode/step and treecode/reuse/step, so
+// the reuse guard compares the same work on both sides.
+func drift(s *nbody.System) {
+	for i := 0; i < s.N(); i++ {
+		s.X[i] += stepDT * s.VX[i]
+		s.Y[i] += stepDT * s.VY[i]
+		s.Z[i] += stepDT * s.VZ[i]
+	}
+}
+
 // treecodeStepEntry benchmarks one full treecode force step on the host
 // and attaches the simulated single-blade TM5600 rate for the same step.
+// Each op drifts the system first, exactly like treecode/reuse/step.
 func treecodeStepEntry() Entry {
 	const n = 20000
 	sys := nbody.NewPlummer(n, 1, 2001)
@@ -157,6 +173,7 @@ func treecodeStepEntry() Entry {
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
+			drift(sys)
 			check2(b, f.Forces(sys))
 		}
 	})
@@ -186,16 +203,16 @@ func treecodeStepEntry() Entry {
 	return e
 }
 
-// treecodeStepExactEntry benchmarks the PR 5 default — the bit-exact
-// interaction-list engine — on the same full force step. It is the
-// uniform-stepping baseline the block-timestep guard prices against:
-// an exact integrator stepping every particle at the finest occupied
-// dt pays this once per tick.
+// treecodeStepExactEntry benchmarks the exact engine — the recursive
+// walk — on the same full force step. It is the uniform-stepping
+// baseline the block-timestep guard prices against: an exact
+// integrator stepping every particle at the finest occupied dt pays
+// this once per tick.
 func treecodeStepExactEntry() Entry {
 	const n = 20000
 	sys := nbody.NewPlummer(n, 1, 2001)
 	sys.Eps = blockStepEps
-	f := &treecode.Forcer{Theta: 0.7, Workers: runtime.GOMAXPROCS(0), Engine: treecode.EngineList,
+	f := &treecode.Forcer{Theta: 0.7, Workers: runtime.GOMAXPROCS(0), Engine: treecode.EngineRecursive,
 		Reuse: treecode.ReuseOff}
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
@@ -225,17 +242,7 @@ func treecodeStepExactEntry() Entry {
 // show up as a bounded win, largest on the build-heavy block
 // hierarchy.
 func treecodeReuseEntries() []Entry {
-	const (
-		n  = 20000
-		dt = 0.005
-	)
-	drift := func(s *nbody.System) {
-		for i := 0; i < s.N(); i++ {
-			s.X[i] += dt * s.VX[i]
-			s.Y[i] += dt * s.VY[i]
-			s.Z[i] += dt * s.VZ[i]
-		}
-	}
+	const n = 20000
 
 	msys := nbody.NewPlummer(n, 1, 2001)
 	cache := treecode.NewTreeCache()
@@ -300,8 +307,8 @@ func treecodeReuseEntries() []Entry {
 	identical := 1.0
 	a := nbody.NewPlummer(4096, 1, 7)
 	bsys := nbody.NewPlummer(4096, 1, 7)
-	check(a.Leapfrog(&treecode.Forcer{Theta: 0.7, Reuse: treecode.ReuseOn}, dt, 4))
-	check(bsys.Leapfrog(&treecode.Forcer{Theta: 0.7, Reuse: treecode.ReuseOff}, dt, 4))
+	check(a.Leapfrog(&treecode.Forcer{Theta: 0.7, Reuse: treecode.ReuseOn}, stepDT, 4))
+	check(bsys.Leapfrog(&treecode.Forcer{Theta: 0.7, Reuse: treecode.ReuseOff}, stepDT, 4))
 	for i := 0; i < a.N(); i++ {
 		if math.Float64bits(a.AX[i]) != math.Float64bits(bsys.AX[i]) ||
 			math.Float64bits(a.X[i]) != math.Float64bits(bsys.X[i]) {
@@ -404,14 +411,11 @@ func blockStepEntries() []Entry {
 	return out
 }
 
-// forceEngineEntries benchmarks the force-evaluation engines head to
-// head on a prebuilt tree, single-threaded: one op is a full force
-// sweep over every particle. The recursive walk is the golden
-// baseline; the bit-identical list engine must match it (zero
-// allocations, no throughput regression beyond noise), and the
-// group-walk engine — where the interaction-list architecture pays,
-// by amortizing one traversal over a whole target group — carries the
-// ≥1.5x single-thread throughput guard.
+// forceEngineEntries benchmarks the two force-evaluation engines head
+// to head on a prebuilt tree, single-threaded: one op is a full force
+// sweep over every particle. The recursive walk is the exact baseline;
+// the dual-tree engine carries the ≥1.5x single-thread throughput
+// guard. Both must sweep with zero allocations.
 func forceEngineEntries() []Entry {
 	const n = 20000
 	sys := nbody.NewPlummer(n, 1, 2001)
@@ -441,7 +445,7 @@ func forceEngineEntries() []Entry {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < n; j++ {
-				ax, ay, az := tr.ForceAtRecursive(sys.X[j], sys.Y[j], sys.Z[j], j, 0.7, sys.Eps, &st)
+				ax, ay, az := tr.ForceAt(sys.X[j], sys.Y[j], sys.Z[j], j, 0.7, sys.Eps, &st)
 				sys.AX[j], sys.AY[j], sys.AZ[j] = ax, ay, az
 			}
 		}
@@ -453,66 +457,20 @@ func forceEngineEntries() []Entry {
 		Metrics:     map[string]float64{"rms_error": rmsError()},
 	})
 
-	ar := treecode.NewWalkArena()
-	r = testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		// Warm the arena to its high-water capacity, then measure the
-		// allocation-free steady state.
-		for j := 0; j < n; j++ {
-			tr.ForceAtList(sys.X[j], sys.Y[j], sys.Z[j], j, 0.7, sys.Eps, &st, ar)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < n; j++ {
-				ax, ay, az := tr.ForceAtList(sys.X[j], sys.Y[j], sys.Z[j], j, 0.7, sys.Eps, &st, ar)
-				sys.AX[j], sys.AY[j], sys.AZ[j] = ax, ay, az
-			}
-		}
-	})
-	out = append(out, Entry{
-		Name:        fmt.Sprintf("force/list/n=%d", n),
-		NsPerOp:     float64(r.NsPerOp()),
-		AllocsPerOp: r.AllocsPerOp(),
-	})
-
-	groups := tr.AppendGroups(nil, treecode.DefaultGroupSize)
-	r = testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for _, li := range groups {
-			tr.GroupForceLeaf(li, 0.7, sys.Eps, ar, &st)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, li := range groups {
-				tr.GroupForceLeaf(li, 0.7, sys.Eps, ar, &st)
-				for k := 0; k < ar.NumTargets(); k++ {
-					j, ax, ay, az := ar.Target(k)
-					sys.AX[j], sys.AY[j], sys.AZ[j] = ax, ay, az
-				}
-			}
-		}
-	})
-	out = append(out, Entry{
-		Name:        fmt.Sprintf("force/groupwalk/n=%d", n),
-		NsPerOp:     float64(r.NsPerOp()),
-		AllocsPerOp: r.AllocsPerOp(),
-		Metrics:     map[string]float64{"rms_error": rmsError()},
-	})
-
 	// The dual-tree engine: mutual traversal over coarse target tasks,
-	// refined to group frames — the new default, guarded to at least
-	// match the recursive walk's accuracy with zero steady-state
-	// allocations.
+	// refined to group frames — the default, guarded to at least match
+	// the recursive walk's accuracy with zero steady-state allocations.
+	ar := treecode.NewWalkArena()
 	tasks := tr.AppendGroups(nil, treecode.DualTaskSize)
 	r = testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for _, ti := range tasks {
-			tr.DualForceWalk(ti, 0.7, sys.Eps, treecode.DefaultGroupSize, nil, ar, &st)
+			tr.DualForceWalk(ti, 0.7, sys.Eps, nil, ar, &st)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, ti := range tasks {
-				tr.DualForceWalk(ti, 0.7, sys.Eps, treecode.DefaultGroupSize, nil, ar, &st)
+				tr.DualForceWalk(ti, 0.7, sys.Eps, nil, ar, &st)
 				for k := 0; k < ar.NumTargets(); k++ {
 					j, ax, ay, az := ar.Target(k)
 					sys.AX[j], sys.AY[j], sys.AZ[j] = ax, ay, az
@@ -940,39 +898,24 @@ func guardReport(rep *Report) error {
 				variant, off.Metrics["sim_cycles"], on.Metrics["sim_cycles"])
 		}
 	}
-	// The interaction-list engine's bars. The group-walk mode — where
-	// the list architecture amortizes one traversal over a whole target
-	// group — must deliver ≥1.5x single-thread force throughput over the
-	// recursive walk. The default per-particle list engine's wins are
-	// bit-exactness and allocation-free arenas, not raw single-thread
-	// speed (a fused recursion evaluates while it walks; a per-particle
-	// list pays for its appends), so its bars are the alloc count and
-	// the group engine it feeds, not a ratio of its own.
+	// The force engines' bars. Both single-thread sweeps must run
+	// allocation-free, and the dual-tree engine — which amortizes one
+	// traversal over a whole target group and inherits MAC decisions
+	// down the target tree — must deliver ≥1.5x the recursive walk's
+	// throughput at no worse than its accuracy (mutual acceptance is
+	// conservative relative to the per-particle MAC).
 	recEntry := find(rep, "force/recursive/n=20000")
-	listEntry := find(rep, "force/list/n=20000")
-	grpEntry := find(rep, "force/groupwalk/n=20000")
-	if recEntry == nil || listEntry == nil || grpEntry == nil {
+	dualEntry := find(rep, "force/dual/n=20000")
+	if recEntry == nil || dualEntry == nil {
 		return fmt.Errorf("guard: missing force engine entries")
 	}
-	if recEntry.NsPerOp < 1.5*grpEntry.NsPerOp {
-		return fmt.Errorf("guard: group-walk engine under 1.5x recursive throughput: %.0f vs %.0f ns/op (%.2fx)",
-			grpEntry.NsPerOp, recEntry.NsPerOp, recEntry.NsPerOp/grpEntry.NsPerOp)
+	if recEntry.NsPerOp < 1.5*dualEntry.NsPerOp {
+		return fmt.Errorf("guard: dual-tree engine under 1.5x recursive throughput: %.0f vs %.0f ns/op (%.2fx)",
+			dualEntry.NsPerOp, recEntry.NsPerOp, recEntry.NsPerOp/dualEntry.NsPerOp)
 	}
-	if listEntry.AllocsPerOp != 0 {
-		return fmt.Errorf("guard: list engine force sweep allocates: %d allocs/op, want 0",
-			listEntry.AllocsPerOp)
-	}
-	if grpEntry.AllocsPerOp != 0 {
-		return fmt.Errorf("guard: group-walk force sweep allocates: %d allocs/op, want 0",
-			grpEntry.AllocsPerOp)
-	}
-	// The dual-tree engine's bars: allocation-free steady state and at
-	// least the recursive walk's accuracy (mutual acceptance is
-	// conservative relative to the per-particle MAC, so dual must never
-	// be the least accurate engine).
-	dualEntry := find(rep, "force/dual/n=20000")
-	if dualEntry == nil {
-		return fmt.Errorf("guard: missing force/dual entry")
+	if recEntry.AllocsPerOp != 0 {
+		return fmt.Errorf("guard: recursive force sweep allocates: %d allocs/op, want 0",
+			recEntry.AllocsPerOp)
 	}
 	if dualEntry.AllocsPerOp != 0 {
 		return fmt.Errorf("guard: dual-tree force sweep allocates: %d allocs/op, want 0",
@@ -983,11 +926,11 @@ func guardReport(rep *Report) error {
 			dualEntry.Metrics["rms_error"], recEntry.Metrics["rms_error"])
 	}
 	// The PR 6 headline: dual-tree traversal plus hierarchical block
-	// timesteps must deliver ≥3x the PR 5 default per unit of simulated
+	// timesteps must deliver ≥3x the exact engine per unit of simulated
 	// time. The exact baseline steps every particle at the finest
-	// occupied dt, paying one list-engine force step per tick — 2^rung
-	// of them per base step; the block integrator covers the same base
-	// step in NsPerOp.
+	// occupied dt, paying one recursive-engine force step per tick —
+	// 2^rung of them per base step; the block integrator covers the
+	// same base step in NsPerOp.
 	exact := find(rep, "treecode/step-exact/n=20000")
 	blk := find(rep, "treecode/blockstep/n=20000")
 	if exact == nil || blk == nil {
@@ -1007,7 +950,8 @@ func guardReport(rep *Report) error {
 	// permutation and scratch buffers are all retained across steps).
 	// End to end, a maintained tree is bit-identical to a fresh one, so
 	// neither the reuse force step nor the reuse block hierarchy may
-	// ever run slower than its fresh-build twin beyond noise — force
+	// ever run slower than its fresh-build twin beyond noise (the two
+	// uniform steps drift the system by the same kick every op) — force
 	// sweeps dominate both end-to-end paths, so the build savings
 	// surface as a bounded win (~5% on the uniform step, ~15% on the
 	// build-heavier block hierarchy), not a ratio worth pinning on a

@@ -2,8 +2,10 @@ package core
 
 import (
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/mpi"
@@ -95,6 +97,24 @@ func TestDriverRejectsBadFormat(t *testing.T) {
 	d := &Driver{Name: "x", Format: "yaml"}
 	if err := d.Setup(); err == nil {
 		t.Fatal("bad -format accepted")
+	}
+}
+
+// TestDriverRejectsBadErrorBudget: negative and non-finite
+// -error-budget values fail in Setup with the spec validator's
+// message, not later while marshalling the spec.
+func TestDriverRejectsBadErrorBudget(t *testing.T) {
+	for _, arg := range []string{"-1", "NaN", "+Inf", "-Inf"} {
+		d := &Driver{Name: "x"}
+		fs := flag.NewFlagSet("x", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		d.RegisterFlags(fs)
+		if err := fs.Parse([]string{"-error-budget", arg}); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Setup(); err == nil || !strings.Contains(err.Error(), "error budget") {
+			t.Errorf("-error-budget %s: Setup error %v, want the error-budget check", arg, err)
+		}
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // Specs are canonically hashable. CanonicalSpec clones a spec through
 // its JSON form and normalizes it, so two specs that differ only in
 // JSON field order, in defaulted-versus-omitted fields, or in a
-// deprecated alias (GroupWalk versus Engine "group") canonicalize to
+// folded alias (engine "list" versus "recursive") canonicalize to
 // the same value — and SpecHash, the SHA-256 of the canonical envelope,
 // is the cache key the gateway uses to serve repeated submissions of a
 // deterministic experiment for free.

@@ -38,7 +38,7 @@ func TestValidateSpecJSON(t *testing.T) {
 	good := [][]byte{
 		[]byte(`{"api":"repro/spec/v1","kind":"table1"}`),
 		[]byte(`{"api":"repro/spec/v1","kind":"tco","spec":{"blade":true}}`),
-		[]byte(`{"api":"repro/spec/v1","kind":"nbody","spec":{"n":1000,"engine":"group"}}`),
+		[]byte(`{"api":"repro/spec/v1","kind":"nbody","spec":{"n":1000,"engine":"list"}}`),
 	}
 	for _, doc := range good {
 		if err := ValidateSpecJSON(schemaJSON, doc); err != nil {
@@ -50,6 +50,7 @@ func TestValidateSpecJSON(t *testing.T) {
 		[]byte(`{"api":"repro/spec/v2","kind":"table1"}`),
 		[]byte(`{"api":"repro/spec/v1","kind":"tco","spec":{"bogus":1}}`),
 		[]byte(`{"api":"repro/spec/v1","kind":"tco","spec":{"nodes":-1}}`),
+		[]byte(`{"api":"repro/spec/v1","kind":"nbody","spec":{"n":1000,"engine":"group"}}`),
 		[]byte(`not json`),
 	}
 	for _, doc := range bad {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -177,69 +178,118 @@ func TestTCOExplicitZeroHonored(t *testing.T) {
 	}
 }
 
-// TestGroupWalkAliasEquivalence covers the -groupwalk deprecation: the
-// alias canonicalizes to the engine field, hashes identically to the
-// spelled-out form, and resolves to the same engine both through the
-// spec API and through the driver flags.
-func TestGroupWalkAliasEquivalence(t *testing.T) {
-	alias := &Table2Spec{EngineSpec: EngineSpec{GroupWalk: true}}
-	spelled := &Table2Spec{EngineSpec: EngineSpec{Engine: "group"}}
-	ha, err := SpecHash(alias)
-	if err != nil {
-		t.Fatal(err)
+// TestEngineSpecCompatibility pins the engine-selection compatibility
+// rules as a table, for every kind that carries an engine: spellings
+// that computed the same bits fold into their survivor and hash alike;
+// spellings whose results would change are validation errors naming
+// the dual engine, never a silent remap.
+func TestEngineSpecCompatibility(t *testing.T) {
+	canon := func(t *testing.T, kind, body string) (ExperimentSpec, string) {
+		t.Helper()
+		s, err := DecodeSpec([]byte(`{"api":"repro/spec/v1","kind":"` + kind + `","spec":` + body + `}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := CanonicalSpec(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := SpecHash(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, h
 	}
-	hb, err := SpecHash(spelled)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name, spec string
+		sameAs     string // a spec that must hash identically ("" = none)
+		want       treecode.Engine
+		wantErr    string // substring of the validation error ("" = valid)
+	}{
+		{"list folds to recursive", `{"engine":"list"}`, `{"engine":"recursive"}`, treecode.EngineRecursive, ""},
+		{"groupwalk false is the default", `{"groupwalk":false}`, `{}`, treecode.EngineDual, ""},
+		{"sub-1 budget pins recursive", `{"error_budget":0.5}`, "", treecode.EngineRecursive, ""},
+		{"group engine removed", `{"engine":"group"}`, "", 0, "dual"},
+		{"groupwalk engine removed", `{"engine":"groupwalk"}`, "", 0, "dual"},
+		{"groupwalk alias removed", `{"groupwalk":true}`, "", 0, "dual"},
 	}
-	if ha != hb {
-		t.Errorf("groupwalk alias hashes differently from engine=group: %s vs %s", ha, hb)
-	}
-	c, err := CanonicalSpec(alias)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ce := c.(*Table2Spec)
-	if ce.Engine != "group" || ce.GroupWalk {
-		t.Errorf("canonical alias = {engine:%q groupwalk:%v}, want {engine:\"group\" groupwalk:false}", ce.Engine, ce.GroupWalk)
-	}
-	if got := ce.EngineSpec.resolve(); got != treecode.EngineGroup {
-		t.Errorf("alias resolves to %v, want EngineGroup", got)
-	}
-	// An explicit engine wins over the alias, exactly like the flags.
-	mixed := &Table2Spec{EngineSpec: EngineSpec{Engine: "list", GroupWalk: true}}
-	cm, err := CanonicalSpec(mixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cm.(*Table2Spec).EngineSpec.resolve(); got != treecode.EngineList {
-		t.Errorf("explicit engine lost to the alias: %v", got)
+	for _, kind := range []string{"table2", "figure3", "nbody"} {
+		for _, tc := range cases {
+			t.Run(kind+"/"+tc.name, func(t *testing.T) {
+				c, h := canon(t, kind, tc.spec)
+				err := c.Validate()
+				if tc.wantErr != "" {
+					if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+						t.Fatalf("validation error %v, want one containing %q", err, tc.wantErr)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatalf("rejected: %v", err)
+				}
+				if tc.sameAs != "" {
+					if _, h2 := canon(t, kind, tc.sameAs); h != h2 {
+						t.Errorf("hash %s, %s hashes %s", h, tc.sameAs, h2)
+					}
+				}
+				if got := engineOf(t, c).resolve(); got != tc.want {
+					t.Errorf("resolves to %v, want %v", got, tc.want)
+				}
+			})
+		}
 	}
 
-	// Driver flags: -groupwalk and -engine group select the same engine.
-	mk := func(args ...string) *Driver {
+	// Driver flags follow the same rules: -engine list selects and
+	// hashes like -engine recursive, -engine group is an error naming
+	// dual, and -groupwalk no longer exists.
+	mk := func(args ...string) (*Driver, error) {
 		d := &Driver{Name: "test"}
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		d.RegisterFlags(fs)
 		if err := fs.Parse(args); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		if err := d.Setup(); err != nil {
-			t.Fatal(err)
-		}
-		return d
+		return d, d.Setup()
 	}
-	dAlias := mk("-groupwalk")
-	dSpelled := mk("-engine", "group")
-	if dAlias.Engine != dSpelled.Engine {
-		t.Errorf("-groupwalk resolves to %v, -engine group to %v", dAlias.Engine, dSpelled.Engine)
+	dList, err := mk("-engine", "list")
+	if err != nil {
+		t.Fatal(err)
 	}
-	hFlagAlias, _ := SpecHash(&Table2Spec{EngineSpec: dAlias.SpecEngine()})
-	hFlagSpelled, _ := SpecHash(&Table2Spec{EngineSpec: dSpelled.SpecEngine()})
-	if hFlagAlias != hFlagSpelled {
-		t.Errorf("driver-built specs hash differently: %s vs %s", hFlagAlias, hFlagSpelled)
+	dRec, err := mk("-engine", "recursive")
+	if err != nil {
+		t.Fatal(err)
 	}
+	if dList.Engine != treecode.EngineRecursive || dRec.Engine != treecode.EngineRecursive {
+		t.Errorf("-engine list resolves to %v, -engine recursive to %v", dList.Engine, dRec.Engine)
+	}
+	hList, _ := SpecHash(&Table2Spec{EngineSpec: dList.SpecEngine()})
+	hRec, _ := SpecHash(&Table2Spec{EngineSpec: dRec.SpecEngine()})
+	if hList != hRec {
+		t.Errorf("driver-built specs hash differently: %s vs %s", hList, hRec)
+	}
+	if _, err := mk("-engine", "group"); err == nil || !strings.Contains(err.Error(), "dual") {
+		t.Errorf("-engine group: %v, want an error naming dual", err)
+	}
+	if _, err := mk("-groupwalk"); err == nil {
+		t.Error("-groupwalk still parses")
+	}
+}
+
+// engineOf returns the engine selection of a spec kind that carries
+// one.
+func engineOf(t *testing.T, s ExperimentSpec) *EngineSpec {
+	t.Helper()
+	switch s := s.(type) {
+	case *Table2Spec:
+		return &s.EngineSpec
+	case *Figure3Spec:
+		return &s.EngineSpec
+	case *NBodySpec:
+		return &s.EngineSpec
+	}
+	t.Fatalf("%T carries no engine selection", s)
+	return nil
 }
 
 // TestDecodeSpecStrictness: unknown kinds, unknown fields and wrong api
@@ -272,12 +322,24 @@ func TestSpecValidation(t *testing.T) {
 		&NASKernelsSpec{Kernel: "XX"},
 		&NBodySpec{N: -5},
 		&NBodySpec{EngineSpec: EngineSpec{ErrorBudget: -1}},
+		&NBodySpec{EngineSpec: EngineSpec{Engine: "group"}},
+		&Figure3Spec{EngineSpec: EngineSpec{GroupWalk: true}},
 		&TCOSpec{Nodes: -1},
 		&Figure3Spec{Width: -1},
 	}
 	for _, s := range bad {
 		if _, err := RunSpec(NewRun(), s); err == nil {
 			t.Errorf("%T %+v: RunSpec accepted an invalid spec", s, s)
+		}
+	}
+	// Non-finite budgets cannot cross JSON, so validation is checked on
+	// the spec itself: negative and non-finite budgets get the message
+	// the -error-budget flag gives.
+	for _, b := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		s := &NBodySpec{EngineSpec: EngineSpec{ErrorBudget: b}}
+		s.Normalize()
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "error budget") {
+			t.Errorf("error_budget %g: validation error %v, want the error-budget check", b, err)
 		}
 	}
 }

@@ -40,9 +40,11 @@ func init() {
 
 // EngineSpec is the force-engine selection shared by the treecode
 // experiments, in flag spelling. The zero value means "auto" at the
-// default error budget. GroupWalk is the deprecated PR 5 alias for
-// Engine "group": Normalize folds it into the engine field, so the
-// alias and the spelled-out form canonicalize — and hash — identically.
+// default error budget. Normalize folds the retired engine "list" into
+// "recursive" (it computed the same bits, so the hashes merge).
+// GroupWalk is the retired PR 5 alias for the removed group engine: it
+// still decodes, false canonicalizes away, and true is a validation
+// error naming the dual engine.
 type EngineSpec struct {
 	Engine      string  `json:"engine,omitempty"`
 	ErrorBudget float64 `json:"error_budget,omitempty"`
@@ -56,14 +58,8 @@ type EngineSpec struct {
 }
 
 func (e *EngineSpec) normalize() {
-	if e.Engine == "" {
-		e.Engine = "auto"
-	}
-	if e.GroupWalk {
-		if e.Engine == "auto" {
-			e.Engine = "group"
-		}
-		e.GroupWalk = false
+	if eng, err := treecode.ParseEngine(e.Engine); err == nil {
+		e.Engine = eng.String()
 	}
 	if e.ErrorBudget == 0 {
 		e.ErrorBudget = treecode.DefaultErrorBudget
@@ -78,11 +74,24 @@ func (e *EngineSpec) validate() error {
 	if _, err := treecode.ParseEngine(e.Engine); err != nil {
 		return err
 	}
-	if e.ErrorBudget < 0 {
-		return fmt.Errorf("negative error_budget %g", e.ErrorBudget)
+	if e.GroupWalk {
+		return fmt.Errorf("groupwalk was removed with the group engine; use engine \"dual\"")
+	}
+	if err := checkErrorBudget(e.ErrorBudget); err != nil {
+		return err
 	}
 	if _, err := treecode.ParseReuseMode(e.TreeReuse); err != nil {
 		return err
+	}
+	return nil
+}
+
+// checkErrorBudget rejects force-error budgets no engine can honour:
+// negative or non-finite. The spec field and the -error-budget flag
+// share it, so both reject the same values with the same message.
+func checkErrorBudget(b float64) error {
+	if b < 0 || math.IsNaN(b) || math.IsInf(b, 0) {
+		return fmt.Errorf("error budget %g must be a finite number ≥ 0", b)
 	}
 	return nil
 }
@@ -102,9 +111,6 @@ func (e *EngineSpec) resolve() treecode.Engine {
 	eng, err := treecode.ParseEngine(e.Engine)
 	if err != nil {
 		eng = treecode.EngineAuto
-	}
-	if eng == treecode.EngineAuto && e.GroupWalk {
-		eng = treecode.EngineGroup
 	}
 	return treecode.ResolveEngine(eng, e.ErrorBudget)
 }

@@ -7,23 +7,23 @@ import "math"
 // undecided *source* nodes, so a single MAC decision made high up —
 // "this source cell is far enough from this whole target box" — is
 // inherited by every target group below it instead of being re-tested
-// once per group (the group engine) or once per particle (the list
-// engine). Sources are scanned through PR 5's rope-threaded walk
-// index; accepted cells, opened leaf sources and the per-group target
-// outputs all live in the per-worker zero-alloc WalkArena.
+// once per group or once per particle. Sources are scanned through the
+// rope-threaded walk index; accepted cells, opened leaf sources and
+// the per-group target outputs all live in the per-worker zero-alloc
+// WalkArena.
 //
-// Acceptance uses exactly the group engine's conservative criterion —
-// the per-particle MAC evaluated at the worst-case point of the target
-// box, plus box disjointness — so the inheritance argument is a
-// monotonicity one: a cell accepted against an ancestor's box passes
-// the same test against every descendant box it contains (dmin² only
-// grows as the box shrinks, and disjointness is inherited). When a
-// rejected source cell is *opened* above group level, its children are
-// tested where the group engine would have kept the parent, so the
-// dual engine evaluates the same or finer cells than the group walk:
-// its error is bounded by the group engine's, which is bounded by the
-// recursive walk's. Like the group engine it is RMS-bounded, not
-// bit-identical (accumulation order differs).
+// Acceptance is conservative: the per-particle MAC evaluated at the
+// worst-case (closest) point of the target frame, plus box
+// disjointness in place of the point walk's containment guard. Both
+// tests quantify over every target in the frame, so a cell accepted
+// for a frame passes the per-particle MAC for each of its targets
+// individually, and the inheritance argument is a monotonicity one: a
+// cell accepted against an ancestor's box passes the same test against
+// every descendant box it contains (dmin² only grows as the box
+// shrinks, and disjointness is inherited). The engine therefore only
+// ever opens *more* cells than the recursive walk, so its error is
+// bounded by the recursive walk's; the accumulation order differs, so
+// results are RMS-bounded, not bit-identical.
 
 // DualTaskSize is the particle granularity of the dual engine's
 // parallel work list: each task is a maximal subtree of at most this
@@ -39,17 +39,14 @@ const DualTaskSize = 1024
 // nothing. The undecided list u is a flat stack: each target level
 // appends its refined list above its parent's and truncates on exit.
 type dualState struct {
-	t   *Tree
-	wn  []walkNode
-	wb  []Box
-	wq  []float64
-	sel *Selection
-	ar  *WalkArena
-	th2 float64
-	// groupSize is the particle count at or below which a target
-	// subtree stops splitting and evaluates as one group.
-	groupSize int32
-	quad      bool
+	t    *Tree
+	wn   []walkNode
+	wb   []Box
+	wq   []float64
+	sel  *Selection
+	ar   *WalkArena
+	th2  float64
+	quad bool
 
 	// u is the undecided-source stack, levels delimited by the target
 	// recursion.
@@ -64,31 +61,26 @@ type dualState struct {
 // DualForceWalk computes softened accelerations for every selected
 // real target under tree node ni with one dual traversal: the walk
 // index is refined down the target subtree, cells accepted at internal
-// levels are shared by every group below, and each group evaluates the
-// accumulated list through the same blocked kernels as the group
-// engine. Results land in the arena's target buffers (NumTargets /
-// Target), exactly as GroupForceLeaf's do.
-func (t *Tree) DualForceWalk(ni int32, theta, eps float64, groupSize int, sel *Selection, ar *WalkArena, st *Stats) {
+// levels are shared by every group of at most DefaultGroupSize
+// particles below, and each group evaluates the accumulated list
+// through the two-lane kernels. Results land in the arena's target
+// buffers (NumTargets / Target).
+func (t *Tree) DualForceWalk(ni int32, theta, eps float64, sel *Selection, ar *WalkArena, st *Stats) {
 	ar.tIdx = ar.tIdx[:0]
 	ar.tax, ar.tay, ar.taz = ar.tax[:0], ar.tay[:0], ar.taz[:0]
 	wn, wb, wq := t.walkIndex()
 	if len(wn) == 0 {
 		return
 	}
-	if groupSize <= 0 {
-		groupSize = DefaultGroupSize
-	}
 	ar.cx, ar.cy, ar.cz, ar.cm = ar.cx[:0], ar.cy[:0], ar.cz[:0], ar.cm[:0]
 	ar.qxx, ar.qyy, ar.qzz = ar.qxx[:0], ar.qyy[:0], ar.qzz[:0]
 	ar.qxy, ar.qxz, ar.qyz = ar.qxy[:0], ar.qxz[:0], ar.qyz[:0]
 	ar.px, ar.py, ar.pz, ar.pm = ar.px[:0], ar.py[:0], ar.pz[:0], ar.pm[:0]
 	ar.pidx = ar.pidx[:0]
-	ar.segs = ar.segs[:0]
 	d := &ar.dual
 	d.t, d.wn, d.wb, d.wq = t, wn, wb, wq
 	d.sel, d.ar = sel, ar
 	d.th2 = theta * theta
-	d.groupSize = int32(groupSize)
 	d.quad = t.Quadrupole
 	d.u = append(d.u[:0], 0) // the whole tree, undecided
 	d.target(ni, 0, 1, eps, st)
@@ -114,35 +106,12 @@ func (d *dualState) target(ni int32, ulo, uhi int, eps float64, st *Stats) {
 	}
 	ar := d.ar
 	cellMark := len(ar.cm)
-	group := n.Leaf || count <= d.groupSize
+	group := n.Leaf || count <= DefaultGroupSize
 	if group {
-		// Tight AABB over the group's selected real targets — tighter
-		// than the octree box, so the inherited-plus-refined list is at
-		// least as sharp as a fresh group walk's.
-		var lx, ly, lz, hx, hy, hz float64
-		none := true
-		for j := first; j < first+count; j++ {
-			s := &t.Sources[j]
-			if !d.sel.selected(s) {
-				continue
-			}
-			if none {
-				lx, ly, lz = s.X, s.Y, s.Z
-				hx, hy, hz = s.X, s.Y, s.Z
-				none = false
-				continue
-			}
-			lx, hx = min(lx, s.X), max(hx, s.X)
-			ly, hy = min(ly, s.Y), max(hy, s.Y)
-			lz, hz = min(lz, s.Z), max(hz, s.Z)
-		}
-		if none {
+		if !d.groupFrame(first, count) {
 			// Only pseudo-particles below (LET import): nothing to do.
 			return
 		}
-		d.tx, d.hx = (lx+hx)/2, (hx-lx)/2
-		d.ty, d.hy = (ly+hy)/2, (hy-ly)/2
-		d.tz, d.hz = (lz+hz)/2, (hz-lz)/2
 	} else {
 		b := &n.Box
 		d.tx, d.ty, d.tz = b.CX, b.CY, b.CZ
@@ -173,6 +142,35 @@ func (d *dualState) target(ni int32, ulo, uhi int, eps float64, st *Stats) {
 		ar.qxx, ar.qyy, ar.qzz = ar.qxx[:cellMark], ar.qyy[:cellMark], ar.qzz[:cellMark]
 		ar.qxy, ar.qxz, ar.qyz = ar.qxy[:cellMark], ar.qxz[:cellMark], ar.qyz[:cellMark]
 	}
+}
+
+// groupFrame sets the target frame to the tight AABB of the selected
+// real targets among sorted sources [first, first+count) — tighter
+// than the octree box, so the inherited-plus-refined list is at least
+// as sharp as a fresh walk for the group alone — and reports whether
+// there is any such target.
+func (d *dualState) groupFrame(first, count int32) bool {
+	var lx, ly, lz, hx, hy, hz float64
+	none := true
+	for j := first; j < first+count; j++ {
+		s := &d.t.Sources[j]
+		if !d.sel.selected(s) {
+			continue
+		}
+		if none {
+			lx, ly, lz = s.X, s.Y, s.Z
+			hx, hy, hz = s.X, s.Y, s.Z
+			none = false
+			continue
+		}
+		lx, hx = min(lx, s.X), max(hx, s.X)
+		ly, hy = min(ly, s.Y), max(hy, s.Y)
+		lz, hz = min(lz, s.Z), max(hz, s.Z)
+	}
+	d.tx, d.hx = (lx+hx)/2, (hx-lx)/2
+	d.ty, d.hy = (ly+hy)/2, (hy-ly)/2
+	d.tz, d.hz = (lz+hz)/2, (hz-lz)/2
+	return !none
 }
 
 // refine decides walk-index node u against the current target frame:
@@ -237,4 +235,14 @@ func (d *dualState) refine(u int32) {
 		return
 	}
 	d.u = append(d.u, u)
+}
+
+// boxDisjointAABB reports whether cube b and the axis-aligned box
+// (centre tx/ty/tz, half-extents hx/hy/hz) are separated on some axis —
+// strictly positive distance, the frame analog of the point walk's
+// !Contains guard.
+func boxDisjointAABB(b Box, tx, ty, tz, hx, hy, hz float64) bool {
+	return math.Abs(b.CX-tx) > b.Half+hx ||
+		math.Abs(b.CY-ty) > b.Half+hy ||
+		math.Abs(b.CZ-tz) > b.Half+hz
 }

@@ -55,6 +55,26 @@ func pairedEvalTargets(tr *Tree, first, count int32, eps float64, sel *Selection
 	return idx, acc, st
 }
 
+// groupList fills the arena's interaction list for target group g as a
+// dual walk would resolve it with nothing inherited: the whole tree
+// refined against the tight box of the group's selected targets.
+func groupList(tr *Tree, ar *WalkArena, g int32, theta float64, sel *Selection) {
+	ar.cx, ar.cy, ar.cz, ar.cm = ar.cx[:0], ar.cy[:0], ar.cz[:0], ar.cm[:0]
+	ar.qxx, ar.qyy, ar.qzz = ar.qxx[:0], ar.qyy[:0], ar.qzz[:0]
+	ar.qxy, ar.qxz, ar.qyz = ar.qxy[:0], ar.qxz[:0], ar.qyz[:0]
+	ar.px, ar.py, ar.pz, ar.pm = ar.px[:0], ar.py[:0], ar.pz[:0], ar.pm[:0]
+	ar.pidx = ar.pidx[:0]
+	d := &ar.dual
+	d.t, d.sel, d.ar = tr, sel, ar
+	d.wn, d.wb, d.wq = tr.walkIndex()
+	d.th2 = theta * theta
+	d.quad = tr.Quadrupole
+	d.isGroup = true
+	if n := &tr.Nodes[g]; d.groupFrame(int32(n.First), int32(n.Count)) {
+		d.refine(0)
+	}
+}
+
 // swapPart exchanges leaf-source entries i and j of the arena's list.
 func swapPart(ar *WalkArena, i, j int) {
 	ar.px[i], ar.px[j] = ar.px[j], ar.px[i]
@@ -117,7 +137,7 @@ func TestPairKernelsMatchScalar(t *testing.T) {
 							}
 						}
 						for _, g := range groups {
-							tr.appendGroupInteractions(ar, g, 0.7, sel)
+							groupList(tr, ar, g, 0.7, sel)
 							check(g, "traversal order")
 							// Move the first target's own entry to the
 							// front of the list and the last target's to

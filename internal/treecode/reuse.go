@@ -105,7 +105,7 @@ func (s *ReuseStats) add(d ReuseStats) {
 	s.KeysMoved += d.KeysMoved
 }
 
-// Reuse telemetry, on the package registry next to the list-engine
+// Reuse telemetry, on the package registry next to the walk-arena
 // counters (gathered by ListTelemetry, flushed once per Step).
 var (
 	reuseSteps      = listReg.Counter("treecode.reuse.steps", "", "maintainer steps taken")
