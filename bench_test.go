@@ -677,9 +677,8 @@ func BenchmarkMPIAllreduce(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			w, err := mpi.NewWorldWithConfig(8, mpi.Config{
-				Fabric:       netsim.FastEthernet(),
-				DisablePool:  mode.disable,
-				ChannelDepth: 256,
+				Fabric:      netsim.FastEthernet(),
+				DisablePool: mode.disable,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -712,9 +711,8 @@ func BenchmarkMPICollectives(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			w, err := mpi.NewWorldWithConfig(16, mpi.Config{
-				Fabric:       netsim.FastEthernet(),
-				Native:       mode.native,
-				ChannelDepth: 256,
+				Fabric: netsim.FastEthernet(),
+				Native: mode.native,
 			})
 			if err != nil {
 				b.Fatal(err)

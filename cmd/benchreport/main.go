@@ -547,9 +547,8 @@ func mpiEntries() []Entry {
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			w, err := mpi.NewWorldWithConfig(8, mpi.Config{
-				Fabric:       netsim.FastEthernet(),
-				DisablePool:  disable,
-				ChannelDepth: 256,
+				Fabric:      netsim.FastEthernet(),
+				DisablePool: disable,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -582,16 +581,16 @@ func mpiEntries() []Entry {
 // class-S EP world must complete in event mode with at least 10x fewer
 // host goroutines and less live heap than the goroutine scheduler would
 // need, extrapolated from a measured p=256 goroutine-mode run
-// (goroutines grow linearly in p, the per-pair channel matrix
-// quadratically — the extrapolation even underprices the goroutine path
-// by using a shallow ChannelDepth). The big run doubles as a
-// determinism probe: two fresh event worlds must produce bit-identical
-// makespans and checksums.
+// (goroutines grow linearly in p; the heap is extrapolated
+// quadratically, the worst case for a world whose every rank pair may
+// talk). The p=256 world's own live heap is reported too: with inbox
+// lanes created per talking pair it stays small. The big run doubles
+// as a determinism probe: two fresh event worlds must produce
+// bit-identical makespans and checksums.
 func largePEntries() []Entry {
 	const (
-		pBig      = 4096
-		pBase     = 256
-		baseDepth = 8 // far below the sweep's 256: biases the guard against us
+		pBig  = 4096
+		pBase = 256
 	)
 	costs, err := cpu.CalibrateFor(cpu.NewTM5600(), cpu.MissRateClassW)
 	check(err)
@@ -634,9 +633,7 @@ func largePEntries() []Entry {
 	// that is still comfortable to instantiate for real.
 	h0 := liveHeap()
 	g0 := runtime.NumGoroutine()
-	wBase, err := mpi.NewWorldWithConfig(pBase, mpi.Config{
-		Fabric: netsim.FastEthernet(), ChannelDepth: baseDepth,
-	})
+	wBase, err := mpi.NewWorld(pBase, netsim.FastEthernet())
 	check(err)
 	var resBase *nas.ParallelResult
 	t0 := time.Now()
@@ -1056,8 +1053,19 @@ func guardReport(rep *Report) error {
 	}
 	// The large-p event core's bars: the p=4096 EP run must verify,
 	// reproduce bit-for-bit across fresh worlds, use ≥10x fewer host
-	// goroutines than the goroutine scheduler extrapolates to, and hold
-	// less live heap than the goroutine path's channel matrix would.
+	// goroutines than the goroutine scheduler extrapolates to, hold less
+	// live heap than the goroutine path extrapolates to, and stay within
+	// the 11.8 MB its per-rank map inboxes held in BENCH_pr10. The p=256
+	// goroutine world must stay under 4 MB live, which pins that it no
+	// longer preallocates a size² channel matrix (67 MB in BENCH_pr10).
+	base := find(rep, "mpi/largep/ep-base/p=256")
+	if base == nil {
+		return fmt.Errorf("guard: missing mpi/largep/ep-base entry")
+	}
+	if live := base.Metrics["heap_live_bytes"]; live > 4e6 {
+		return fmt.Errorf("guard: p=%g goroutine-mode EP world holds %.0f B live heap, want ≤ 4 MB",
+			base.Metrics["ranks"], live)
+	}
 	largep := find(rep, "mpi/largep/ep")
 	if largep == nil {
 		return fmt.Errorf("guard: missing mpi/largep/ep entry")
@@ -1078,6 +1086,10 @@ func guardReport(rep *Report) error {
 		return fmt.Errorf("guard: event core live heap %.0f B at p=%g is not below the goroutine path's extrapolated %.0f B",
 			largep.Metrics["heap_event_bytes"], largep.Metrics["ranks"],
 			largep.Metrics["heap_extrapolated_bytes"])
+	}
+	if heap := largep.Metrics["heap_event_bytes"]; heap > 11.8e6 {
+		return fmt.Errorf("guard: event core live heap %.0f B at p=%g, want ≤ 11.8 MB",
+			heap, largep.Metrics["ranks"])
 	}
 	// The design-space optimizer's bars: memoized sweep throughput of at
 	// least 100k candidate evaluations per second, a ≥90% memo hit rate

@@ -26,8 +26,8 @@
 // interconnect topology (star, fattree, torus2d, torus3d) and
 // -mpi-mode the rank scheduler (auto, goroutine, event): shaped
 // fabrics use topology-aware hop counts and hierarchical collectives,
-// and the event scheduler runs 10k+ simulated ranks without goroutine
-// or channel cost. Results are bit-identical across schedulers.
+// and the event scheduler runs 10k+ simulated ranks without a goroutine
+// per rank. Results are bit-identical across schedulers.
 //
 // The flags are a thin parse layer over core.NASKernelsSpec and
 // core.NASSweepSpec — the same experiment specs the gridd gateway

@@ -152,14 +152,7 @@ func (r *Run) Table2(cfg Table2Config) ([]Table2Row, *metrics.Table, error) {
 			o.err = err
 			return
 		}
-		wcfg := mpi.Config{Fabric: f, Event: event}
-		if cfg.Concurrent {
-			// The concurrent sweep keeps every world's channels alive at
-			// once; the LET exchange never queues deeply, so cap the
-			// host-side buffers (virtual times are unaffected).
-			wcfg.ChannelDepth = sweepChannelDepth
-		}
-		w, err := mpi.NewWorldWithConfig(p, wcfg)
+		w, err := mpi.NewWorldWithConfig(p, mpi.Config{Fabric: f, Event: event})
 		if err != nil {
 			o.err = err
 			return

@@ -579,11 +579,7 @@ func (s *NASKernelsSpec) runParallel(r *Run) (*SpecResult, error) {
 		if err := netsim.ApplyTopology(f, s.Fabric, p); err != nil {
 			return nil, err
 		}
-		w, err := mpi.NewWorldWithConfig(p, mpi.Config{
-			Fabric:       f,
-			ChannelDepth: sweepChannelDepth,
-			Event:        event,
-		})
+		w, err := mpi.NewWorldWithConfig(p, mpi.Config{Fabric: f, Event: event})
 		if err != nil {
 			return nil, err
 		}

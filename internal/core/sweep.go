@@ -22,12 +22,6 @@ import (
 // in a serial post-pass, so a sweep at any worker count produces
 // bit-identical rows and snapshots.
 
-// sweepChannelDepth bounds per-pair in-flight messages for sweep worlds.
-// A concurrent sweep keeps every world's channels alive at once, and the
-// kernels here never queue more than a few messages per pair, so the
-// deep default would only waste host memory.
-const sweepChannelDepth = 256
-
 // NASSweepConfig sizes the parallel NAS rank sweep.
 type NASSweepConfig struct {
 	// Class is the NPB problem class (S, W, A).
@@ -61,7 +55,7 @@ type NASSweepConfig struct {
 // EventAutoThreshold is the world size at which ""/"auto" scheduler
 // mode switches from goroutine ranks to the event-driven scheduler.
 // Below it the goroutine path is cheap and battle-tested; above it
-// size² channels and host stacks dominate. Either choice yields
+// host stacks and scheduling dominate. Either choice yields
 // bit-identical results.
 const EventAutoThreshold = 256
 
@@ -131,10 +125,9 @@ func (r *Run) NASSweep(cfg NASSweepConfig) ([]NASSweepRow, *metrics.Table, error
 			return nil, err
 		}
 		w, err := mpi.NewWorldWithConfig(p, mpi.Config{
-			Fabric:       f,
-			Native:       cfg.Native,
-			ChannelDepth: sweepChannelDepth,
-			Event:        event,
+			Fabric: f,
+			Native: cfg.Native,
+			Event:  event,
 		})
 		if err != nil {
 			return nil, err

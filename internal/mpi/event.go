@@ -3,59 +3,14 @@ package mpi
 import "fmt"
 
 // The event-driven rank scheduler. Goroutine-per-rank caps practical
-// world sizes around a few hundred ranks: size² channels and a host
-// stack per rank. In event mode ranks are resumable state machines
-// (Proc) dispatched from a min-heap keyed on the virtual clock, sends
-// never block, and a blocked receive parks the rank until the awaited
-// sender delivers. The dispatch order cannot change results: each
+// world sizes around a few hundred ranks (a host stack per rank). Here
+// ranks are resumable state machines (Proc) dispatched from a min-heap
+// keyed on the virtual clock; a blocked receive parks the rank until
+// its sender delivers. Dispatch order cannot change results: each
 // rank consumes messages in its own program order (tryRecv pops the
 // per-sender FIFO), and the contention model's port horizon advances
 // in exactly that order, so virtual times, results and counters are
 // bit-identical to World.Run.
-
-// msgQueue is one (src → dst) FIFO inbox lane: a deque with a head
-// index, recycled in place when drained so steady-state traffic
-// allocates nothing.
-type msgQueue struct {
-	buf  []message
-	head int
-}
-
-func (q *msgQueue) push(m message) { q.buf = append(q.buf, m) }
-
-func (q *msgQueue) pop() (message, bool) {
-	if q.head >= len(q.buf) {
-		return message{}, false
-	}
-	m := q.buf[q.head]
-	q.buf[q.head] = message{} // drop payload references
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
-	return m, true
-}
-
-// deliver appends m to dst's inbox lane from src and wakes dst if it
-// is parked waiting on exactly this sender.
-func (w *World) deliver(src, dst int, m message) {
-	qm := w.queues[dst]
-	if qm == nil {
-		qm = make(map[int]*msgQueue)
-		w.queues[dst] = qm
-	}
-	q := qm[src]
-	if q == nil {
-		q = &msgQueue{}
-		qm[src] = q
-	}
-	q.push(m)
-	d := w.comms[dst]
-	if w.sched != nil && d.waitOp.Load() == 1 && int(d.waitPeer.Load()) == src {
-		w.sched.wake(dst)
-	}
-}
 
 // Proc is a resumable rank program for RunEvent. Resume advances the
 // rank as far as it can and returns done=true when the program is
@@ -161,15 +116,7 @@ func (w *World) RunEvent(mk func(c *Comm) Proc) error {
 	if !w.cfg.Event {
 		return fmt.Errorf("mpi: RunEvent on a goroutine-mode world (set Config.Event)")
 	}
-	var stopWatch chan struct{}
-	if w.cfg.WatchdogTimeout > 0 {
-		w.stallCh = make(chan struct{})
-		stopWatch = make(chan struct{})
-		go w.watch(w.cfg.WatchdogTimeout, w.stallCh, stopWatch)
-		defer close(stopWatch)
-	} else {
-		w.stallCh = nil
-	}
+	defer w.armWatchdog()()
 	procs := make([]Proc, w.size)
 	for r := range procs {
 		procs[r] = mk(w.comms[r])
@@ -205,7 +152,7 @@ func (w *World) RunEvent(mk func(c *Comm) Proc) error {
 		}
 		if fin {
 			done[r] = true
-			w.comms[r].waitOp.Store(0)
+			w.comms[r].waiting.Store(false)
 			finished++
 		}
 	}

@@ -22,7 +22,7 @@ func mkEventWorld(t *testing.T, p int, f *netsim.Fabric) *World {
 }
 
 func TestRunEventRequiresEventWorld(t *testing.T) {
-	w, err := NewWorldWithConfig(2, Config{ChannelDepth: testDepth})
+	w, err := NewWorld(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,6 @@ func TestEventDeadlockDiagnosticMatchesWatchdog(t *testing.T) {
 
 	wg, err := NewWorldWithConfig(2, Config{
 		WatchdogTimeout: 50 * time.Millisecond,
-		ChannelDepth:    testDepth,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +114,7 @@ func TestEventCollectivesMatchBlocking(t *testing.T) {
 		for p := 1; p <= 17; p += 2 {
 			goOut := make([][]float64, p)
 			wg, err := NewWorldWithConfig(p, Config{
-				Fabric: netsim.FastEthernet(), Native: native, ChannelDepth: testDepth,
+				Fabric: netsim.FastEthernet(), Native: native,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -180,7 +179,7 @@ func TestEventCollectivesMatchBlocking(t *testing.T) {
 // TestEventLoopSteadyStateAllocFree pins the event scheduler's
 // steady-state allocation behavior: after the first run fills the
 // buffer pools and inbox lanes, further event-loop traffic allocates
-// (nearly) nothing — the msgQueue deques recycle in place.
+// (nearly) nothing — inbox slots recycle through their free lists.
 func TestEventLoopSteadyStateAllocFree(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const p, n, iters = 8, 64, 300
@@ -237,7 +236,7 @@ func TestExactPredictorsMatchEmergent(t *testing.T) {
 		return f
 	}
 	measure := func(f *netsim.Fabric, p int, prog func(c *Comm)) float64 {
-		w, err := NewWorldWithConfig(p, Config{Fabric: f, ChannelDepth: testDepth})
+		w, err := NewWorldWithConfig(p, Config{Fabric: f})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,8 @@
 // Package mpi is the message-passing substrate the paper's parallel codes
-// (the treecode and the NAS benchmarks) run on. Ranks are goroutines that
-// exchange real data over per-pair FIFO channels, so parallel results are
-// genuinely computed in parallel; each rank additionally carries a virtual
+// (the treecode and the NAS benchmarks) run on. Ranks exchange real data
+// through per-rank inboxes with one FIFO lane per sender (inbox.go), so
+// parallel results are genuinely computed; ranks run as goroutines or as
+// state machines on an event loop (event.go). Each rank carries a virtual
 // clock, advanced by modelled compute time (via the CPU op-mix models) and
 // by message costs from a netsim.Fabric, so a run yields both a correct
 // answer and a simulated parallel runtime on the modelled cluster.
@@ -37,7 +38,6 @@ type message struct {
 	f64     []float64
 	i64     []int64
 	bytes   []byte
-	sent    float64 // virtual time the send was posted
 	arrival float64 // virtual time the payload is fully received (uncontended)
 }
 
@@ -104,22 +104,13 @@ type Config struct {
 	// WatchdogTimeout overrides DefaultWatchdogTimeout; 0 keeps the
 	// default, negative disables the watchdog.
 	WatchdogTimeout time.Duration
-	// ChannelDepth overrides the per-pair in-flight message bound (0
-	// keeps the package default). Purely host-side backpressure —
-	// virtual times never depend on it — but each world preallocates
-	// size²·depth message slots, so harnesses holding many worlds alive
-	// at once (the concurrent rank sweep) set it lower. Ignored in
-	// event mode, whose inboxes grow on demand.
-	ChannelDepth int
 	// Event switches the world to the event-driven scheduler: ranks run
 	// as resumable state machines (Proc) dispatched from a pending-op
-	// heap over the virtual clock, instead of one goroutine per rank.
-	// No per-pair channels are allocated (messages land in lazily
-	// created per-rank inboxes), so worlds of 10k+ ranks cost a few
-	// hundred bytes per rank instead of size² channels. Virtual times,
-	// results and observability counters are bit-identical to the
-	// goroutine path. Run an event world with RunEvent; blocking
-	// Recv/collective calls panic on it.
+	// heap over the virtual clock, instead of one goroutine per rank, so
+	// worlds of 10k+ ranks cost a few hundred bytes per rank and no
+	// host stacks. Virtual times, results and observability counters
+	// are bit-identical to the goroutine path. Run an event world with
+	// RunEvent; blocking Recv/collective calls panic on it.
 	Event bool
 }
 
@@ -131,13 +122,14 @@ type World struct {
 	size   int
 	fabric *netsim.Fabric // nil = zero-cost network
 	cfg    Config
-	chans  []chan message // chans[src*size+dst]; nil in event mode
 	comms  []*Comm
 
-	// Event-mode state: per-rank inboxes (src → FIFO queue, created on
-	// first use) and the ready-rank heap, live during RunEvent.
-	queues []map[int]*msgQueue
-	sched  *evScheduler
+	// inbox[r] holds rank r's undelivered messages. Goroutine worlds
+	// guard each inbox with guard[r]; event worlds leave guard nil and
+	// keep the ready-rank heap in sched, live during RunEvent.
+	inbox []inbox
+	guard []rankSync
+	sched *evScheduler
 
 	// Watchdog plumbing, armed per Run.
 	progress  atomic.Uint64
@@ -151,10 +143,6 @@ type World struct {
 	// before Run.
 	Tracer *obs.Tracer
 }
-
-// ChannelDepth bounds in-flight messages per (src,dst) pair; deep enough
-// that the eager sends our codes use never deadlock.
-const ChannelDepth = 4096
 
 // NewWorld creates a world with the default configuration (pooled
 // buffers, classic collectives, watchdog armed). fabric may be nil for
@@ -187,19 +175,11 @@ func NewWorldWithConfig(size int, cfg Config) (*World, error) {
 			return nil, fmt.Errorf("mpi: world size %d exceeds fabric %q capacity %d", size, f.Name, cap)
 		}
 	}
-	depth := cfg.ChannelDepth
-	if depth <= 0 {
-		depth = ChannelDepth
-	}
-	w := &World{size: size, fabric: cfg.Fabric, cfg: cfg}
-	if cfg.Event {
-		// Event mode: no size² channels — inbox queues materialize on
-		// first message per (src,dst) pair.
-		w.queues = make([]map[int]*msgQueue, size)
-	} else {
-		w.chans = make([]chan message, size*size)
-		for i := range w.chans {
-			w.chans[i] = make(chan message, depth)
+	w := &World{size: size, fabric: cfg.Fabric, cfg: cfg, inbox: make([]inbox, size)}
+	if !cfg.Event {
+		w.guard = make([]rankSync, size)
+		for i := range w.guard {
+			w.guard[i].wake = make(chan struct{}, 1)
 		}
 	}
 	w.comms = make([]*Comm, size)
@@ -226,14 +206,7 @@ func (w *World) Run(fn func(c *Comm) error) error {
 	if w.cfg.Event {
 		return fmt.Errorf("mpi: Run on an event-driven world; use RunEvent")
 	}
-	var stopWatch chan struct{}
-	if w.cfg.WatchdogTimeout > 0 {
-		w.stallCh = make(chan struct{})
-		stopWatch = make(chan struct{})
-		go w.watch(w.cfg.WatchdogTimeout, w.stallCh, stopWatch)
-	} else {
-		w.stallCh = nil
-	}
+	defer w.armWatchdog()()
 	errs := make([]error, w.size)
 	var wg sync.WaitGroup
 	for r := 0; r < w.size; r++ {
@@ -249,15 +222,25 @@ func (w *World) Run(fn func(c *Comm) error) error {
 		}(r)
 	}
 	wg.Wait()
-	if stopWatch != nil {
-		close(stopWatch)
-	}
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// armWatchdog starts the deadlock watchdog for one run, unless
+// Config.WatchdogTimeout disables it, and returns its stop function.
+func (w *World) armWatchdog() (stop func()) {
+	w.stallCh = nil
+	if w.cfg.WatchdogTimeout <= 0 {
+		return func() {}
+	}
+	w.stallCh = make(chan struct{})
+	done := make(chan struct{})
+	go w.watch(w.cfg.WatchdogTimeout, w.stallCh, done)
+	return func() { close(done) }
 }
 
 // watch is the deadlock watchdog: it samples the world-wide progress
@@ -368,8 +351,8 @@ type Comm struct {
 	portBusy float64
 	delay    float64
 
-	// Pending-operation fields the watchdog reads concurrently.
-	waitOp   atomic.Int32 // 0 none, 1 recv, 2 send
+	// The pending receive, read by senders and the watchdog.
+	waiting  atomic.Bool // parked in a receive
 	waitPeer atomic.Int32
 	waitTag  atomic.Int32
 
@@ -393,22 +376,11 @@ func (c *Comm) AddCompute(seconds float64) {
 	c.now += seconds
 }
 
-func (c *Comm) chanTo(dst int) chan message {
-	return c.world.chans[c.rank*c.world.size+dst]
-}
-
-func (c *Comm) chanFrom(src int) chan message {
-	return c.world.chans[src*c.world.size+c.rank]
-}
-
 // pendingOp renders the rank's current blocking operation (watchdog
 // diagnostic).
 func (c *Comm) pendingOp() string {
-	switch c.waitOp.Load() {
-	case 1:
+	if c.waiting.Load() {
 		return fmt.Sprintf("blocked in recv(src=%d, tag=%d)", c.waitPeer.Load(), c.waitTag.Load())
-	case 2:
-		return fmt.Sprintf("blocked in send(dst=%d, tag=%d)", c.waitPeer.Load(), c.waitTag.Load())
 	}
 	return "not blocked (computing or done)"
 }
@@ -443,7 +415,6 @@ func (c *Comm) send(dst int, m message, copied bool) {
 		panic("mpi: self-send not supported; use local data")
 	}
 	start := c.now
-	m.sent = start
 	if f := c.world.fabric; f != nil {
 		// The hop count is rank-pair dependent on the shaped fabrics; on
 		// a star this computes exactly the legacy PointToPoint.
@@ -469,28 +440,7 @@ func (c *Comm) send(dst int, m message, copied bool) {
 			c.rdvMsgs++
 		}
 	}
-	if c.world.cfg.Event {
-		// Event mode: sends never block — append to the receiver's inbox
-		// and wake it if it is waiting on exactly this sender.
-		c.world.deliver(c.rank, dst, m)
-		c.world.progress.Add(1)
-		return
-	}
-	ch := c.chanTo(dst)
-	select {
-	case ch <- m:
-	default:
-		c.waitPeer.Store(int32(dst))
-		c.waitTag.Store(int32(m.tag))
-		c.waitOp.Store(2)
-		select {
-		case ch <- m:
-			c.waitOp.Store(0)
-		case <-c.world.stallCh:
-			panic(fmt.Sprintf("mpi: watchdog: no progress for %v; rank %d blocked in send(dst=%d, tag=%d); world state: %s",
-				c.world.cfg.WatchdogTimeout, c.rank, dst, m.tag, c.world.stallDiag))
-		}
-	}
+	c.world.deliver(c.rank, dst, &m)
 	c.world.progress.Add(1)
 }
 
@@ -528,29 +478,39 @@ func (c *Comm) recv(src, tag int) message {
 	if c.world.cfg.Event {
 		panic(fmt.Sprintf("mpi: rank %d blocking recv on an event-driven world; use TryRecv from a Proc", c.rank))
 	}
-	ch := c.chanFrom(src)
-	var m message
-	select {
-	case m = <-ch:
-	default:
-		c.waitPeer.Store(int32(src))
-		c.waitTag.Store(int32(tag))
-		c.waitOp.Store(1)
+	s := &c.world.guard[c.rank]
+	for {
+		// A miss parks under the lock, so the next delivery sees it.
+		s.mu.Lock()
+		m, ok := c.take(src, tag)
+		s.mu.Unlock()
+		if ok {
+			c.finishRecv(&m, src, tag)
+			return m
+		}
 		select {
-		case m = <-ch:
-			c.waitOp.Store(0)
+		case <-s.wake: // possibly stale: loop and look again
 		case <-c.world.stallCh:
 			panic(fmt.Sprintf("mpi: watchdog: no progress for %v; rank %d blocked in recv(src=%d, tag=%d); world state: %s",
 				c.world.cfg.WatchdogTimeout, c.rank, src, tag, c.world.stallDiag))
 		}
 	}
-	return c.finishRecv(m, src, tag)
+}
+
+// take pops the next message from src or, on a miss, records the
+// pending receive for deliver's wake check and the deadlock diagnostic.
+func (c *Comm) take(src, tag int) (m message, ok bool) {
+	ok = c.world.inbox[c.rank].pop(src, c.world.size, &m)
+	c.waitPeer.Store(int32(src))
+	c.waitTag.Store(int32(tag))
+	c.waiting.Store(!ok)
+	return m, ok
 }
 
 // finishRecv is the shared post-pop accounting for the goroutine and
 // event receive paths: progress, tag check, egress-port contention, and
 // the arrival clamp — identical arithmetic in both modes.
-func (c *Comm) finishRecv(m message, src, tag int) message {
+func (c *Comm) finishRecv(m *message, src, tag int) {
 	c.world.progress.Add(1)
 	if m.tag != tag {
 		panic(fmt.Sprintf("mpi: rank %d expected tag %d from %d, got %d", c.rank, tag, src, m.tag))
@@ -574,7 +534,6 @@ func (c *Comm) finishRecv(m message, src, tag int) message {
 	if m.arrival > c.now {
 		c.now = m.arrival
 	}
-	return m
 }
 
 // tryRecv is the event-mode receive: it pops the next message from src
@@ -582,29 +541,19 @@ func (c *Comm) finishRecv(m message, src, tag int) message {
 // records the pending operation and reports false so the scheduler
 // parks the rank until that sender delivers.
 func (c *Comm) tryRecv(src, tag int) (message, bool) {
+	if !c.world.cfg.Event {
+		// State machines on goroutine worlds degrade to the blocking
+		// path, so the same Proc code runs in both modes.
+		return c.recv(src, tag), true
+	}
 	if src < 0 || src >= c.world.size {
 		panic(fmt.Sprintf("mpi: rank %d receives from invalid rank %d", c.rank, src))
 	}
-	if !c.world.cfg.Event {
-		// Goroutine worlds have no inboxes; state machines degrade to
-		// the blocking path so the same Proc code runs in both modes.
-		return c.recv(src, tag), true
+	m, ok := c.take(src, tag)
+	if ok {
+		c.finishRecv(&m, src, tag)
 	}
-	var m message
-	ok := false
-	if qm := c.world.queues[c.rank]; qm != nil {
-		if q := qm[src]; q != nil {
-			m, ok = q.pop()
-		}
-	}
-	if !ok {
-		c.waitPeer.Store(int32(src))
-		c.waitTag.Store(int32(tag))
-		c.waitOp.Store(1)
-		return message{}, false
-	}
-	c.waitOp.Store(0)
-	return c.finishRecv(m, src, tag), true
+	return m, ok
 }
 
 // Send transmits float64 data to dst with a tag. The slice is copied

@@ -13,10 +13,6 @@ import (
 	"repro/internal/obs"
 )
 
-// testDepth keeps test worlds cheap: channel buffers are preallocated,
-// and these programs never queue more than a handful of messages.
-const testDepth = 64
-
 // allreduceMallocs runs iters in-place allreduces on every rank of a
 // p-rank world, after a warmup that fills the buffer pools, and returns
 // the process-wide allocation count across the measured phase. The
@@ -26,7 +22,6 @@ const testDepth = 64
 // measured work, and barrier messages themselves carry no payload.
 func allreduceMallocs(t *testing.T, cfg Config, p, n, iters int) uint64 {
 	t.Helper()
-	cfg.ChannelDepth = testDepth
 	w, err := NewWorldWithConfig(p, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +83,7 @@ func TestPooledAllreduceAllocAdvantage(t *testing.T) {
 
 func TestPoolStatsDeterministic(t *testing.T) {
 	run := func() (int64, int64) {
-		w, err := NewWorldWithConfig(6, Config{ChannelDepth: testDepth})
+		w, err := NewWorld(6, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +112,7 @@ func TestPoolStatsDeterministic(t *testing.T) {
 
 func TestEagerAndRendezvousAccounting(t *testing.T) {
 	big := DefaultRendezvousThreshold / 8 // floats: exactly at the threshold
-	w, err := NewWorldWithConfig(2, Config{ChannelDepth: testDepth})
+	w, err := NewWorld(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +146,7 @@ func TestEagerAndRendezvousAccounting(t *testing.T) {
 }
 
 func TestSendOwnedTransfersBackingArray(t *testing.T) {
-	w, err := NewWorldWithConfig(2, Config{ChannelDepth: testDepth})
+	w, err := NewWorld(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +171,7 @@ func TestSendOwnedTransfersBackingArray(t *testing.T) {
 }
 
 func TestCollectiveByteAccounting(t *testing.T) {
-	w, err := NewWorldWithConfig(4, Config{ChannelDepth: testDepth})
+	w, err := NewWorld(4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +208,6 @@ func TestCollectiveByteAccounting(t *testing.T) {
 func TestWatchdogBreaksDeadlockWithDiagnostic(t *testing.T) {
 	w, err := NewWorldWithConfig(2, Config{
 		WatchdogTimeout: 50 * time.Millisecond,
-		ChannelDepth:    testDepth,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +233,6 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 	// timer watches message progress, not wall time of the whole run.
 	w, err := NewWorldWithConfig(2, Config{
 		WatchdogTimeout: 100 * time.Millisecond,
-		ChannelDepth:    testDepth,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +255,7 @@ func fanInTime(t *testing.T, p, n int, contended bool) float64 {
 	t.Helper()
 	f := netsim.FastEthernet()
 	f.PortContention = contended
-	w, err := NewWorldWithConfig(p, Config{Fabric: f, ChannelDepth: testDepth})
+	w, err := NewWorldWithConfig(p, Config{Fabric: f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +324,7 @@ func TestContentionOffMatchesLegacyWorld(t *testing.T) {
 func TestContentionDelayRecorded(t *testing.T) {
 	f := netsim.FastEthernet()
 	f.PortContention = true
-	w, err := NewWorldWithConfig(4, Config{Fabric: f, ChannelDepth: testDepth})
+	w, err := NewWorldWithConfig(4, Config{Fabric: f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +354,7 @@ func TestNativeBcastAllSizesAllRoots(t *testing.T) {
 	for _, p := range worldSizes() {
 		for root := 0; root < p; root++ {
 			w, err := NewWorldWithConfig(p, Config{
-				Native: true, SegmentBytes: 256, ChannelDepth: testDepth,
+				Native: true, SegmentBytes: 256,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -395,7 +388,7 @@ func TestNativeAllreduceCorrectAndBitIdenticalAcrossRanks(t *testing.T) {
 	// cross-rank equality only holds if every rank evaluates the same
 	// reduction tree.
 	for _, p := range worldSizes() {
-		w, err := NewWorldWithConfig(p, Config{Native: true, ChannelDepth: testDepth})
+		w, err := NewWorldWithConfig(p, Config{Native: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -436,7 +429,7 @@ func TestNativeAllreduceCorrectAndBitIdenticalAcrossRanks(t *testing.T) {
 
 func TestNativeAllreduceMaxMin(t *testing.T) {
 	for _, p := range []int{3, 8, 13} {
-		w, err := NewWorldWithConfig(p, Config{Native: true, ChannelDepth: testDepth})
+		w, err := NewWorldWithConfig(p, Config{Native: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -463,7 +456,7 @@ func TestNativeAllreduceMaxMin(t *testing.T) {
 func collectiveTime(t *testing.T, p, n int, native bool, body func(c *Comm, buf []float64)) float64 {
 	t.Helper()
 	w, err := NewWorldWithConfig(p, Config{
-		Fabric: netsim.FastEthernet(), Native: native, ChannelDepth: testDepth,
+		Fabric: netsim.FastEthernet(), Native: native,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -532,7 +525,7 @@ func TestPooledDisabledCollectivesBitIdentical(t *testing.T) {
 	// produce bitwise-identical results and virtual times without it.
 	run := func(disable bool) (bits []uint64, maxT float64) {
 		w, err := NewWorldWithConfig(9, Config{
-			Fabric: netsim.FastEthernet(), DisablePool: disable, ChannelDepth: testDepth,
+			Fabric: netsim.FastEthernet(), DisablePool: disable,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -581,7 +574,7 @@ func TestPooledDisabledCollectivesBitIdentical(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := NewWorldWithConfig(0, Config{}); err == nil {
+	if _, err := NewWorld(0, nil); err == nil {
 		t.Fatal("size 0 accepted")
 	}
 	bad := netsim.FastEthernet()

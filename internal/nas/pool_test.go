@@ -21,9 +21,8 @@ func TestParallelKernelsPoolInvariant(t *testing.T) {
 	run := func(p int, disable bool) (*ParallelResult, *ParallelResult) {
 		mk := func() *mpi.World {
 			w, err := mpi.NewWorldWithConfig(p, mpi.Config{
-				Fabric:       netsim.FastEthernet(),
-				DisablePool:  disable,
-				ChannelDepth: 256,
+				Fabric:      netsim.FastEthernet(),
+				DisablePool: disable,
 			})
 			if err != nil {
 				t.Fatal(err)

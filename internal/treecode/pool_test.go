@@ -18,9 +18,8 @@ func TestParallelForcesPoolInvariant(t *testing.T) {
 	run := func(p int, disable bool) (*nbody.System, *ParallelResult) {
 		s := nbody.NewPlummer(n, 1, 2001)
 		w, err := mpi.NewWorldWithConfig(p, mpi.Config{
-			Fabric:       netsim.FastEthernet(),
-			DisablePool:  disable,
-			ChannelDepth: 256,
+			Fabric:      netsim.FastEthernet(),
+			DisablePool: disable,
 		})
 		if err != nil {
 			t.Fatal(err)
