@@ -2,10 +2,12 @@ package core
 
 import (
 	"math"
-	"repro/internal/cpu"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/nas"
+	"repro/internal/obs"
+	"repro/internal/treecode"
 )
 
 func TestTable1PaperShape(t *testing.T) {
@@ -306,11 +308,60 @@ func TestTreecodeRateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(a-b) > 1e-9 {
-		t.Fatalf("rates differ: %f vs %f", a, b)
+	if math.Float64bits(a) != math.Float64bits(b) {
+		t.Fatalf("rates differ: %v vs %v", a, b)
 	}
 	if a <= 0 {
 		t.Fatal("zero rate")
+	}
+}
+
+// TestTreecodeWorkloadMeasuredOncePerRun checks the count-once,
+// price-per-processor split: Table 4, ToPPeR and SpacePower on one Run
+// make one force call between them (one full tree build), and every
+// processor's rate on the Run is bit-equal to a standalone TreecodeRate.
+func TestTreecodeWorkloadMeasuredOncePerRun(t *testing.T) {
+	fullBuilds := func() uint64 {
+		s := obs.NewSnapshot()
+		s.Gather(treecode.ListTelemetry())
+		return s.Counter("treecode.reuse.full_builds")
+	}
+	r := NewRun()
+	before := fullBuilds()
+	rows, _, err := r.Table4()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ToPPeR(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := r.SpacePower(); err != nil {
+		t.Fatal(err)
+	}
+	if n := fullBuilds() - before; n != 1 {
+		t.Fatalf("one Run made %d force calls, want 1", n)
+	}
+	machines, err := Registry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rated := map[string]float64{}
+	for i, m := range machines {
+		want, ok := rated[m.CPU.Name()]
+		if !ok {
+			if want, err = TreecodeRate(m.CPU, Table4Particles); err != nil {
+				t.Fatal(err)
+			}
+			rated[m.CPU.Name()] = want
+		}
+		got, err := r.treecodeRate(m.CPU, Table4Particles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) ||
+			math.Float64bits(rows[i].MflopPerProc) != math.Float64bits(want*m.ParallelEff) {
+			t.Fatalf("%s: rate %v, Table 4 %v per proc; standalone %v", m.Name, got, rows[i].MflopPerProc, want)
+		}
 	}
 }
 

@@ -138,10 +138,13 @@ func (r *Run) Table2(cfg Table2Config) ([]Table2Row, *metrics.Table, error) {
 		err error
 	}
 	outs := make([]t2out, len(cfg.CPUCounts))
+	plummer := nbody.NewPlummer(cfg.Particles, 1, 2001)
 	runOne := func(i int) {
 		o := &outs[i]
 		p := cfg.CPUCounts[i]
-		s := nbody.NewPlummer(cfg.Particles, 1, 2001)
+		// Worlds share the read-only bodies; each gets its own force arrays.
+		s := *plummer
+		s.AX, s.AY, s.AZ = make([]float64, s.N()), make([]float64, s.N()), make([]float64, s.N())
 		f := netsim.FastEthernet()
 		if err := netsim.ApplyTopology(f, cfg.Fabric, p); err != nil {
 			o.err = err
@@ -159,7 +162,7 @@ func (r *Run) Table2(cfg Table2Config) ([]Table2Row, *metrics.Table, error) {
 		}
 		w.Tracer = r.Tracer
 		o.w = w
-		o.res, o.err = treecode.ParallelForces(w, s, treecode.ParallelConfig{
+		o.res, o.err = treecode.ParallelForces(w, &s, treecode.ParallelConfig{
 			Theta: cfg.Theta, Eps: s.Eps, Cost: cm,
 			Engine: cfg.Engine, ErrorBudget: cfg.ErrorBudget,
 		})
@@ -286,16 +289,11 @@ func (r *Run) Table4() ([]Table4Row, *metrics.Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	rateCache := map[string]float64{}
 	var rows []Table4Row
 	for _, m := range machines {
-		rate, ok := rateCache[m.CPU.Name()]
-		if !ok {
-			rate, err = TreecodeRate(m.CPU, Table4Particles)
-			if err != nil {
-				return nil, nil, err
-			}
-			rateCache[m.CPU.Name()] = rate
+		rate, err := r.treecodeRate(m.CPU, Table4Particles)
+		if err != nil {
+			return nil, nil, err
 		}
 		perProc := rate * m.ParallelEff
 		row := Table4Row{
@@ -384,11 +382,11 @@ func (r *Run) ToPPeR() (*ToPPeRSummary, error) {
 	for _, row := range rows {
 		byName[row.Name] = row.B
 	}
-	tradRate, err := TreecodeRate(cpu.PentiumIII500().AsProcessor(), Table4Particles)
+	tradRate, err := r.treecodeRate(cpu.PentiumIII500().AsProcessor(), Table4Particles)
 	if err != nil {
 		return nil, err
 	}
-	bladeRate, err := TreecodeRate(cpu.NewTM5600(), Table4Particles)
+	bladeRate, err := r.treecodeRate(cpu.NewTM5600(), Table4Particles)
 	if err != nil {
 		return nil, err
 	}
@@ -437,15 +435,15 @@ func (r *Run) SpacePower() ([]SpacePowerRow, *metrics.Table, *metrics.Table, err
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	alphaRate, err := TreecodeRate(cpu.AlphaEV56_533().AsProcessor(), Table4Particles)
+	alphaRate, err := r.treecodeRate(cpu.AlphaEV56_533().AsProcessor(), Table4Particles)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	tm56Rate, err := TreecodeRate(cpu.NewTM5600(), Table4Particles)
+	tm56Rate, err := r.treecodeRate(cpu.NewTM5600(), Table4Particles)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	tm58Rate, err := TreecodeRate(cpu.NewTM5800(), Table4Particles)
+	tm58Rate, err := r.treecodeRate(cpu.NewTM5800(), Table4Particles)
 	if err != nil {
 		return nil, nil, nil, err
 	}

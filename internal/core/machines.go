@@ -77,32 +77,43 @@ func avalonPackaging() cluster.Packaging {
 	}
 }
 
-// TreecodeRate measures a machine's treecode Mflops per processor: a real
-// serial treecode run supplies the interaction counts and operation mix,
-// and the machine's calibrated processor model supplies the time.
+// TreecodeRate measures a machine's treecode Mflops per processor on a
+// throwaway Run (see Run.treecodeRate).
 func TreecodeRate(p cpu.Processor, particles int) (mflopsPerProc float64, err error) {
+	return NewRun().treecodeRate(p, particles)
+}
+
+// treecodeRate rates a processor on the treecode: a real serial
+// treecode run supplies the interaction counts and operation mix, and
+// the processor's calibrated model supplies the time. The run does not
+// depend on the processor, so the Run counts it once per particle count
+// (Table 4, ToPPeR and SpacePower share one force call) and prices it
+// per processor.
+func (r *Run) treecodeRate(p cpu.Processor, particles int) (mflopsPerProc float64, err error) {
+	r.treecodeMu.Lock()
+	defer r.treecodeMu.Unlock()
+	stats, ok := r.treecode[particles]
+	if !ok {
+		f := &treecode.Forcer{Theta: 0.7}
+		if err := f.Forces(nbody.NewPlummer(particles, 1, 1997)); err != nil {
+			return 0, err
+		}
+		stats = f.LastStats
+		r.treecode[particles] = stats
+	}
 	costs, err := cpu.CalibrateFor(p, cpu.MissRateTree)
 	if err != nil {
 		return 0, err
 	}
-	s := nbody.NewPlummer(particles, 1, 1997)
-	f := &treecode.Forcer{Theta: 0.7}
-	if err := f.Forces(s); err != nil {
-		return 0, err
-	}
-	inter := f.LastStats.Interactions()
-	mix := treecode.InteractionMix()
-	mixTotal := *mix
-	mixTotal.Scale(inter)
-	build := treecode.BuildMix()
-	buildTotal := *build
-	buildTotal.Scale(uint64(s.N()))
+	mixTotal := *treecode.InteractionMix()
+	mixTotal.Scale(stats.Interactions())
+	buildTotal := *treecode.BuildMix()
+	buildTotal.Scale(uint64(particles))
 	seconds := costs.Seconds(&mixTotal) + costs.Seconds(&buildTotal)
 	if seconds <= 0 {
 		return 0, fmt.Errorf("core: zero treecode time for %s", p.Name())
 	}
-	flops := float64(f.LastStats.Flops())
-	return flops / seconds / 1e6, nil
+	return float64(stats.Flops()) / seconds / 1e6, nil
 }
 
 // AvailabilityStudy quantifies Table 5's downtime argument with the

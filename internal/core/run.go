@@ -1,10 +1,13 @@
 package core
 
 import (
+	"sync"
+
 	"repro/internal/metrics"
 	"repro/internal/nas"
 	"repro/internal/nbody"
 	"repro/internal/obs"
+	"repro/internal/treecode"
 )
 
 // Run is one instrumented experiment session: a Snapshot accumulating
@@ -22,11 +25,16 @@ type Run struct {
 	// Tracer, when non-nil, receives phase spans in the three time
 	// domains (obs.PidHost, obs.PidCMS, obs.PidSim).
 	Tracer *obs.Tracer
+
+	// treecode holds the treecode force counts measured on this Run,
+	// by particle count (see treecodeRate).
+	treecodeMu sync.Mutex
+	treecode   map[int]treecode.Stats
 }
 
 // NewRun returns a Run with a fresh snapshot and no tracer.
 func NewRun() *Run {
-	return &Run{Snap: obs.NewSnapshot()}
+	return &Run{Snap: obs.NewSnapshot(), treecode: map[int]treecode.Stats{}}
 }
 
 // gather folds sources into the run's snapshot, skipping nils.

@@ -76,6 +76,28 @@ func newClassSched(u *UnitSpec) classSched {
 	}
 }
 
+// book is acquire's inlined fast path for the common case: a pipelined
+// unit whose first candidate cycle, floor(t), is in the window and not
+// full, with no prune due after the booking. It books that cycle and
+// reports true, the issue time being t; otherwise it books nothing and
+// the caller falls back to acquire.
+func (c *classSched) book(t float64) bool {
+	bin := int64(math.Floor(t))
+	i := bin - c.base
+	if uint64(i) >= uint64(len(c.win)) || c.win[i] >= c.perCycle || c.live >= pruneLive {
+		return false
+	}
+	if c.win[i] == 0 {
+		c.live++
+		c.blocks[i>>blockShift]++
+	}
+	c.win[i]++
+	if bin > c.minLiveBin {
+		c.minLiveBin = bin - pruneKeep
+	}
+	return true
+}
+
 // acquire books the unit at the earliest time ≥ t and returns the issue
 // time. lo is a lower bound on every later call's t: the window may
 // forget the cycles below lo−pruneKeep.

@@ -3,6 +3,8 @@ package cpu
 import (
 	"sync"
 
+	"repro/internal/isa"
+	"repro/internal/kernels"
 	"repro/internal/obs"
 )
 
@@ -76,13 +78,48 @@ func CalibCacheCounters() (hits, misses uint64) {
 	return calibHits.Value(), calibMisses.Value()
 }
 
-// ResetCalibCache drops every memoized calibration and zeroes the
-// counters, for tests and ablations.
+// calibPaths holds each calibration kernel's recorded path (isa
+// semantics, CalibIters iterations), by kernel name. A path does not
+// depend on the processor that times it: the first hardware calibration
+// records it and every hardware model replays it.
+var calibPaths sync.Map // kernel name -> func() (calibPath, error)
+
+type calibPath struct {
+	prog isa.Program
+	path []isa.Block
+}
+
+// calibCycles times a calibration kernel's recorded path on the core,
+// recording the path on first use: the cycles Run reports for the
+// kernel. Safe for concurrent use.
+func (a *Arch) calibCycles(k kernels.CalibKernel) (float64, error) {
+	if err := a.Validate(); err != nil {
+		return 0, err
+	}
+	v, _ := calibPaths.LoadOrStore(k.Name, sync.OnceValues(func() (calibPath, error) {
+		prog, st, err := k.Build(CalibIters)
+		if err != nil {
+			return calibPath{}, err
+		}
+		path, err := isa.RecordPath(prog, st, nil, 0, nil)
+		return calibPath{prog, path}, err
+	}))
+	cp, err := v.(func() (calibPath, error))()
+	if err != nil {
+		return 0, err
+	}
+	return a.timePath(cp.prog, cp.path), nil
+}
+
+// ResetCalibCache drops every memoized calibration and recorded
+// calibration path and zeroes the counters, for tests and ablations.
 func ResetCalibCache() {
-	calibMemo.Range(func(k, _ any) bool {
-		calibMemo.Delete(k)
-		return true
-	})
+	for _, m := range []*sync.Map{&calibMemo, &calibPaths} {
+		m.Range(func(k, _ any) bool {
+			m.Delete(k)
+			return true
+		})
+	}
 	calibHits.Reset()
 	calibMisses.Reset()
 }

@@ -1,9 +1,11 @@
 package cpu
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/par"
 )
@@ -207,4 +209,62 @@ func TestCalibrateDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCalibrationPathsRecordedOnce checks the recorded calibration
+// paths: each kernel's is a handful of runs, equals a fresh recording of
+// the kernel (whose execution matches isa.Run exactly), timing it gives
+// Arch.Run's cycles, and ResetCalibCache drops every path with the memo.
+func TestCalibrationPathsRecordedOnce(t *testing.T) {
+	ResetCalibCache()
+	a := PentiumIII500()
+	if _, err := CalibrateFor(a.AsProcessor(), MissRateTree); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range kernels.CalibKernels() {
+		v, ok := calibPaths.Load(k.Name)
+		if !ok {
+			t.Fatalf("%s: no recorded path", k.Name)
+		}
+		cp, err := v.(func() (calibPath, error))()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cp.path) > 8 {
+			t.Errorf("%s: %d runs, want at most 8", k.Name, len(cp.path))
+		}
+		prog, st, err := k.Build(CalibIters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := st.Clone()
+		var tr, refTr isa.Trace
+		path, err := isa.RecordPath(prog, st, &tr, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := isa.Run(prog, ref, &refTr, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(path, cp.path) || tr != refTr || !st.Equal(ref) {
+			t.Fatalf("%s: recorded path or its execution differs", k.Name)
+		}
+		cycles, err := a.calibCycles(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, st, _ = k.Build(CalibIters)
+		res, err := a.Run(prog, st, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cycles != res.Cycles {
+			t.Fatalf("%s: recorded path times to %v cycles, Run %v", k.Name, cycles, res.Cycles)
+		}
+	}
+	ResetCalibCache()
+	calibPaths.Range(func(k, _ any) bool {
+		t.Errorf("ResetCalibCache kept the recorded path of %v", k)
+		return true
+	})
 }

@@ -28,9 +28,10 @@ const CalibIters = 200_000
 
 // Calibrate measures the effective per-class costs of a processor. The
 // kernels run concurrently on the par pool, each writing its own slot,
-// so the costs do not depend on scheduling. A warm-start Crusoe runs
-// them serially in kernel order: each kernel inherits the translation
-// cache the previous ones left behind.
+// so the costs do not depend on scheduling. A hardware model times the
+// kernels' recorded paths (calibCycles); other processors run them. A
+// warm-start Crusoe runs them serially in kernel order: each kernel
+// inherits the translation cache the previous ones left behind.
 func Calibrate(p Processor) (EffCosts, error) {
 	e := EffCosts{Processor: p.Name(), ClockMHz: p.ClockMHz()}
 	ks := kernels.CalibKernels()
@@ -40,8 +41,13 @@ func Calibrate(p Processor) (EffCosts, error) {
 	if c, ok := p.(*Crusoe); ok && c.WarmStart {
 		pool = par.New(1)
 	}
+	hw, isHW := p.(archProcessor)
 	pool.For(len(ks), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
+			if isHW {
+				cycles[i], errs[i] = hw.a.calibCycles(ks[i])
+				continue
+			}
 			prog, st, err := ks[i].Build(CalibIters)
 			if err == nil {
 				var res RunResult
@@ -105,9 +111,10 @@ func (e EffCosts) Mops(ops float64, mix *isa.Trace) float64 {
 // the flat VLIW load latency is raised by the expected miss cost (its
 // on-die L2 kept the penalty modest).
 //
-// Every call re-runs the full per-class kernel simulations; most callers
-// want the memoized CalibrateFor, keeping this as the explicit bypass
-// for ablations that must observe a fresh simulation.
+// Every call re-runs the full per-class timing simulations (a hardware
+// model replays the recorded kernel paths); most callers want the
+// memoized CalibrateFor, keeping this as the explicit bypass for
+// ablations that must observe a fresh simulation.
 func CalibrateForUncached(p Processor, missRate float64) (EffCosts, error) {
 	switch pr := p.(type) {
 	case archProcessor:

@@ -11,20 +11,52 @@ import (
 	"repro/internal/kernels"
 )
 
-// parity runs the program through Arch.Run and the map-backed oracle and
-// fails unless cycles and trace agree bit for bit. It returns the
+// parity runs the program through Arch.Run and the map-backed oracle,
+// whose interleaved isa.Step loop executes as it times, and fails unless
+// cycles, trace, final state and error agree bit for bit. It returns the
 // oracle's count of bookings below a pruned floor.
 func parity(t *testing.T, name string, a *Arch, p isa.Program, st *isa.State) int {
+	return parityFuel(t, name, a, p, st, 0)
+}
+
+func parityFuel(t *testing.T, name string, a *Arch, p isa.Program, st *isa.State, fuel uint64) int {
 	t.Helper()
-	want, below, wantErr := refRun(a, p, st.Clone(), 0)
-	got, gotErr := a.Run(p, st, 0)
-	if (wantErr == nil) != (gotErr == nil) {
+	ref := st.Clone()
+	want, below, wantErr := refRun(a, p, ref, fuel)
+	got, gotErr := a.Run(p, st, fuel)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		t.Fatalf("%s: error %v, oracle %v", name, gotErr, wantErr)
 	}
 	if math.Float64bits(got.Cycles) != math.Float64bits(want.Cycles) || got.Trace != want.Trace {
 		t.Fatalf("%s: cycles %v trace %+v, oracle %v %+v", name, got.Cycles, got.Trace, want.Cycles, want.Trace)
 	}
+	if !st.Equal(ref) {
+		t.Fatalf("%s: final state differs from the oracle's", name)
+	}
 	return below
+}
+
+// TestArchParityRecordedPathErrors holds the recorded path to the
+// oracle's interleaved execution where a run stops early: fuel runs out
+// (ErrFuel), the PC falls off the end or starts out of range, or a load
+// faults. Error, partial trace and state must match.
+func TestArchParityRecordedPathErrors(t *testing.T) {
+	cases := []struct {
+		name, src string
+		pc        int
+		fuel      uint64
+	}{
+		{"fuel", "movi r1, 0\nloop: addi r1, r1, 1\ncmpi r1, 1000\njl loop\nhlt", 0, 1500},
+		{"spin", "spin: jmp spin", 0, 1000},
+		{"falls off", "movi r1, 1\nfmovi f1, 2.5\nfmul f2, f1, f1", 0, 0},
+		{"bad start", "hlt", -1, 0},
+		{"load fault", "movi r1, 1\nld r2, [r1+100]\nhlt", 0, 0},
+	}
+	for _, c := range cases {
+		st := isa.NewState(4)
+		st.PC = c.pc
+		parityFuel(t, c.name, PentiumIII500(), isa.MustAssemble(c.src), st, c.fuel)
+	}
 }
 
 // TestArchParity holds the dense-window scoreboard to the map-backed
@@ -167,7 +199,8 @@ func TestArchRunZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestClassSchedMatchesOracle drives one pipelined unit schedule and the
+// TestClassSchedMatchesOracle drives one pipelined unit schedule (through
+// book's fast path and acquire, as the scoreboard does) and the
 // map-backed oracle with the same bookings: a dispatch clock that only
 // moves forward, most bookings a few cycles past it and, in the second
 // pass, one in 64 thousands of cycles ahead. Forgotten cycles are then
@@ -190,7 +223,12 @@ func TestClassSchedMatchesOracle(t *testing.T) {
 				if far > 0 && rng.IntN(far) == 0 {
 					t0 += 4000 + float64(rng.IntN(4000))
 				}
-				g, w := got.acquire(t0, int64(math.Floor(d))), want.acquire(t0)
+				// The scoreboard's entry: the inlined fast path, then
+				// the full booking.
+				g, w := t0, want.acquire(t0)
+				if !got.book(t0) {
+					g = got.acquire(t0, int64(math.Floor(d)))
+				}
 				if math.Float64bits(g) != math.Float64bits(w) {
 					t.Fatalf("%+v booking %d at %v: issued at %v, oracle %v", u, i, t0, g, w)
 				}

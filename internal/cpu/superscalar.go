@@ -195,8 +195,9 @@ func newSimState(a *Arch) *simState {
 	return s
 }
 
-// Run executes the program with isa semantics while timing each dynamic
-// instruction through the core model. fuel of 0 means unlimited.
+// Run executes the program with isa semantics, recording its path
+// (isa.RecordPath), then times the path's dynamic instructions through
+// the core model. fuel of 0 means unlimited.
 func (a *Arch) Run(p isa.Program, st *isa.State, fuel uint64) (RunResult, error) {
 	var res RunResult
 	if err := a.Validate(); err != nil {
@@ -205,31 +206,38 @@ func (a *Arch) Run(p isa.Program, st *isa.State, fuel uint64) (RunResult, error)
 	if err := p.Validate(); err != nil {
 		return res, err
 	}
-	ss := newSimState(a)
+	path, err := isa.RecordPath(p, st, &res.Trace, fuel, nil)
+	switch {
+	case errors.Is(err, isa.ErrFuel):
+		return res, ErrFuel
+	case err != nil && (st.PC < 0 || st.PC >= len(p)):
+		return res, fmt.Errorf("cpu: PC %d out of range", st.PC)
+	case err != nil:
+		return res, err
+	}
+	res.Cycles = a.timePath(p, path)
+	res.Seconds = res.Cycles / (a.ClockMHz * 1e6)
+	return res, nil
+}
+
+// timePath replays a recorded path of the program through a fresh
+// scoreboard and returns its cycle count.
+func (a *Arch) timePath(p isa.Program, path []isa.Block) float64 {
 	dec := make([]decoded, len(p))
 	for i, in := range p {
 		dec[i] = decode(in)
 	}
-	executed := uint64(0)
-	for !st.Halted {
-		if fuel > 0 && executed >= fuel {
-			return res, ErrFuel
+	ss := newSimState(a)
+	for _, b := range path {
+		body, last := dec[b.Start:b.End], &dec[b.End]
+		for n := b.Count; n > 0; n-- {
+			for i := range body {
+				ss.time(&body[i], false)
+			}
+			ss.time(last, b.Taken)
 		}
-		if st.PC < 0 || st.PC >= len(p) {
-			return res, fmt.Errorf("cpu: PC %d out of range", st.PC)
-		}
-		in := &dec[st.PC]
-		takenBefore := res.Trace.Taken
-		if err := isa.Step(p, st, &res.Trace); err != nil {
-			return res, err
-		}
-		taken := res.Trace.Taken != takenBefore
-		ss.time(in, taken)
-		executed++
 	}
-	res.Cycles = ss.cycles
-	res.Seconds = res.Cycles / (a.ClockMHz * 1e6)
-	return res, nil
+	return ss.cycles
 }
 
 // time advances the scoreboard for one dynamic instruction and returns
@@ -281,7 +289,9 @@ func (s *simState) time(in *decoded, taken bool) float64 {
 		*cs = newClassSched(a.unitFor(c))
 		s.booked[c] = true
 	}
-	t = cs.acquire(t, int64(math.Floor(lo)))
+	if !cs.book(t) {
+		t = cs.acquire(t, int64(math.Floor(lo)))
+	}
 	s.lastIssue = t
 
 	// Completion.

@@ -243,18 +243,47 @@ func Step(p Program, s *State, tr *Trace) error {
 // Run executes the program from s.PC until Hlt, an error, or fuel
 // instructions have retired. A fuel of 0 means unlimited.
 func Run(p Program, s *State, tr *Trace, fuel uint64) error {
+	_, err := RecordPath(p, s, tr, fuel, nil)
+	return err
+}
+
+// Block is one run of a recorded path: Count back-to-back executions of
+// the straight-line instructions Start..End, the last a taken branch
+// when Taken.
+type Block struct {
+	Start, End int32
+	Taken      bool
+	Count      uint64
+}
+
+// RecordPath executes the program like Run and appends the executed path
+// to path in run-length basic blocks, each ending at a branch or Hlt. A
+// run stopped by an error leaves the path without its open block.
+func RecordPath(p Program, s *State, tr *Trace, fuel uint64, path []Block) ([]Block, error) {
 	if err := p.Validate(); err != nil {
-		return err
+		return path, err
 	}
-	executed := uint64(0)
-	for !s.Halted {
+	if tr == nil {
+		tr = new(Trace)
+	}
+	start := s.PC
+	for executed := uint64(0); !s.Halted; executed++ {
 		if fuel > 0 && executed >= fuel {
-			return ErrFuel
+			return path, ErrFuel
 		}
+		pc, taken := s.PC, tr.Taken
 		if err := Step(p, s, tr); err != nil {
-			return err
+			return path, err
 		}
-		executed++
+		if op := p[pc].Op; IsBranch(op) || op == Hlt {
+			b := Block{int32(start), int32(pc), tr.Taken != taken, 1}
+			if n := len(path); n > 0 && path[n-1].Start == b.Start && path[n-1].End == b.End && path[n-1].Taken == b.Taken {
+				path[n-1].Count++
+			} else {
+				path = append(path, b)
+			}
+			start = s.PC
+		}
 	}
-	return nil
+	return path, nil
 }

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -494,5 +495,87 @@ func TestShrIsLogical(t *testing.T) {
 	want := int64(uint64(0xFFFFFFFFFFFFFFF8) >> 1)
 	if s.R[2] != want {
 		t.Fatalf("shr -8>>1 = %d, want %d (logical)", s.R[2], want)
+	}
+}
+
+// stepRun is the plain interpreter loop: Step until Hlt, an error or
+// fuel retired instructions.
+func stepRun(p Program, s *State, tr *Trace, fuel uint64) error {
+	for n := uint64(0); !s.Halted; n++ {
+		if fuel > 0 && n >= fuel {
+			return ErrFuel
+		}
+		if err := Step(p, s, tr); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestRecordPathMatchesStepLoop holds RecordPath (and so Run) to a plain
+// Step loop: the same final state, trace and error, including fuel
+// exhaustion, a PC that falls off the end, a memory fault and a bad
+// start PC. A completed run's path holds the trace's instructions, its
+// taken runs count the taken branches, and a loop collapses to one run
+// per distinct block.
+func TestRecordPathMatchesStepLoop(t *testing.T) {
+	loop := `
+		movi r1, 0
+	loop:
+		addi r1, r1, 1
+		cmpi r1, 1000
+		jl loop
+		hlt`
+	cases := []struct {
+		name, src string
+		pc        int
+		fuel      uint64
+		maxRuns   int
+	}{
+		{"loop", loop, 0, 0, 4},
+		{"fuel", loop, 0, 1500, 3},
+		{"spin", "spin: jmp spin", 0, 1000, 1},
+		{"falls off", "movi r1, 1\nnop", 0, 0, 1},
+		{"memory fault", "movi r1, 1\nld r2, [r1+100]\nhlt", 0, 0, 1},
+		{"bad start", "hlt", 5, 0, 0},
+		{"nested", `
+			movi r1, 0
+		outer:
+			movi r2, 0
+		inner:
+			addi r2, r2, 1
+			cmpi r2, 7
+			jl inner
+			addi r1, r1, 1
+			cmpi r1, 50
+			jl outer
+			hlt`, 0, 0, 4*50 + 1},
+	}
+	for _, c := range cases {
+		p := MustAssemble(c.src)
+		want, got := NewState(4), NewState(4)
+		want.PC, got.PC = c.pc, c.pc
+		var wantTr, gotTr Trace
+		wantErr := stepRun(p, want, &wantTr, c.fuel)
+		path, gotErr := RecordPath(p, got, &gotTr, c.fuel, nil)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s: error %v, Step loop %v", c.name, gotErr, wantErr)
+		}
+		if !got.Equal(want) || gotTr != wantTr {
+			t.Fatalf("%s: state or trace differs from the Step loop: %+v vs %+v", c.name, gotTr, wantTr)
+		}
+		var instrs, taken uint64
+		for _, b := range path {
+			instrs += b.Count * uint64(b.End-b.Start+1)
+			if b.Taken {
+				taken += b.Count
+			}
+		}
+		if wantErr == nil && (instrs != wantTr.Instrs || taken != wantTr.Taken) {
+			t.Fatalf("%s: path holds %d instructions, %d taken; trace %d, %d", c.name, instrs, taken, wantTr.Instrs, wantTr.Taken)
+		}
+		if len(path) > c.maxRuns {
+			t.Fatalf("%s: %d runs, want at most %d", c.name, len(path), c.maxRuns)
+		}
 	}
 }

@@ -173,17 +173,11 @@ type ParallelResult struct {
 	ImportedSources int64
 }
 
-// encodeSources flattens sources for the wire (x, y, z, m per source;
-// imported sources become pseudo-particles — Index is never remote-valid).
-func encodeSources(srcs []Source) []float64 {
-	out := make([]float64, 4*len(srcs))
-	encodeSourcesInto(srcs, out)
-	return out
-}
-
-// encodeSourcesInto flattens sources into a caller buffer of length
-// 4·len(srcs) — typically one drawn from the rank's pool, handed to
-// SendOwned for a copy-free exchange.
+// encodeSourcesInto flattens sources for the wire (x, y, z, m per
+// source; imported sources become pseudo-particles — Index is never
+// remote-valid) into a caller buffer of length 4·len(srcs), typically
+// one drawn from the rank's pool, handed to SendOwned for a copy-free
+// exchange.
 func encodeSourcesInto(srcs []Source, out []float64) {
 	for i, s := range srcs {
 		out[4*i], out[4*i+1], out[4*i+2], out[4*i+3] = s.X, s.Y, s.Z, s.M
@@ -317,16 +311,20 @@ func (st *forcesState) setup(c *mpi.Comm) {
 }
 
 // afterGather recycles the box buffer and builds the local tree for
-// LET construction, then opens the exchange phase.
+// LET construction, then opens the exchange phase. A single rank
+// exports nothing, so it skips the host build but is still charged for
+// it, keeping the simulated time one formula at every size.
 func (st *forcesState) afterGather(c *mpi.Comm) error {
 	c.ReleaseF64(st.myBoxBuf)
 	if len(st.local) > 0 {
 		t0 := c.Now()
-		lt, berr := Build(st.local, BuildOptions{Bucket: st.cfg.Bucket, Quadrupole: st.cfg.Quadrupole})
-		if berr != nil {
-			return berr
+		if c.Size() > 1 {
+			lt, berr := Build(st.local, BuildOptions{Bucket: st.cfg.Bucket, Quadrupole: st.cfg.Quadrupole})
+			if berr != nil {
+				return berr
+			}
+			st.localTree = lt
 		}
-		st.localTree = lt
 		c.AddCompute(st.cfg.Cost.SecondsPerBuildSource * float64(len(st.local)))
 		st.span(c, "local_build", t0, map[string]any{"sources": len(st.local)})
 	}

@@ -32,7 +32,6 @@ package treecode
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/par"
 )
@@ -295,11 +294,36 @@ func (c *TreeCache) flush() {
 	reuseKeysMoved.Add(c.Last.KeysMoved)
 }
 
-// fullBuild constructs the tree from scratch into cache-owned buffers —
-// Build's exact pipeline (same bounds fold, same keying, same total
-// order, same builder, including the parallel spine at width > 1) with
-// the intermediate state retained for future Steps.
+// fullBuild constructs the tree from scratch and sets up the state
+// later Steps maintain it with.
 func (c *TreeCache) fullBuild(srcs []Source, opt BuildOptions) (*Tree, error) {
+	t, err := c.build(srcs, opt)
+	if err != nil {
+		return nil, err
+	}
+	n := len(srcs)
+	c.permOld = growInts(c.permOld, n)
+	if cap(c.movers) < maxMovers(n)+1 {
+		c.movers = make([]int, 0, maxMovers(n)+1)
+	}
+	// Seed the double buffer with headroom so early growth steps don't
+	// show up as steady-state allocations.
+	if cap(c.spare) < 2*len(t.Nodes) {
+		c.spare = make([]Node, 0, 2*len(t.Nodes))
+	}
+	c.tree = t
+	c.opt = opt
+	return t, nil
+}
+
+// build is the full-build pipeline Build and fullBuild share, on the
+// cache's key, permutation and sort buffers: the bounds fold, Morton
+// keys (in parallel), the (key, index) radix sort, and the builder,
+// with the parallel spine at width > 1. Equal keys (coincident or
+// sub-cell-coincident sources) keep input order, so the permutation is
+// the unique (key, index) total order that the maintainer's re-sort
+// reproduces.
+func (c *TreeCache) build(srcs []Source, opt BuildOptions) (*Tree, error) {
 	root, err := sourceBounds(srcs)
 	if err != nil {
 		return nil, err
@@ -307,27 +331,15 @@ func (c *TreeCache) fullBuild(srcs []Source, opt BuildOptions) (*Tree, error) {
 	n := len(srcs)
 	c.keys = growKeys(c.keys, n)
 	c.perm = growInts(c.perm, n)
-	c.permOld = growInts(c.permOld, n)
 	c.scratch = growInts(c.scratch, n)
 	c.sortedKeys = growKeys(c.sortedKeys, n)
-	if cap(c.movers) < maxMovers(n)+1 {
-		c.movers = make([]int, 0, maxMovers(n)+1)
-	}
-
-	keys, perm := c.keys, c.perm
+	keys := c.keys
 	c.pool.For(n, keyGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			keys[i] = MortonKey(srcs[i].X, srcs[i].Y, srcs[i].Z, root)
-			perm[i] = i
 		}
 	})
-	sort.Slice(perm, func(a, b int) bool {
-		ka, kb := keys[perm[a]], keys[perm[b]]
-		if ka != kb {
-			return ka < kb
-		}
-		return perm[a] < perm[b]
-	})
+	c.radixSortPerm()
 
 	t := &Tree{
 		Root:       root,
@@ -337,7 +349,7 @@ func (c *TreeCache) fullBuild(srcs []Source, opt BuildOptions) (*Tree, error) {
 		Quadrupole: opt.Quadrupole,
 		MaxDepth:   opt.MaxDepth,
 	}
-	for i, j := range perm {
+	for i, j := range c.perm {
 		t.Sources[i] = srcs[j]
 		c.sortedKeys[i] = keys[j]
 	}
@@ -357,14 +369,6 @@ func (c *TreeCache) fullBuild(srcs []Source, opt BuildOptions) (*Tree, error) {
 	for i := range t.Nodes {
 		t.ByKey[t.Nodes[i].Key] = int32(i)
 	}
-
-	// Seed the double buffer with headroom so early growth steps don't
-	// show up as steady-state allocations.
-	if cap(c.spare) < 2*len(t.Nodes) {
-		c.spare = make([]Node, 0, 2*len(t.Nodes))
-	}
-	c.tree = t
-	c.opt = opt
 	return t, nil
 }
 

@@ -79,72 +79,15 @@ const (
 	spineDepth = 2
 )
 
-// Build constructs a tree over the sources.
+// Build constructs a tree over the sources: the tree maintainer's full
+// build (TreeCache.build) on a throwaway cache, which allocates none of
+// the state a maintainer keeps for later steps.
 func Build(sources []Source, opt BuildOptions) (*Tree, error) {
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("treecode: no sources")
 	}
-	opt = normalizeBuildOptions(opt)
-	pool := par.New(opt.Workers)
-	root, err := sourceBounds(sources)
-	if err != nil {
-		return nil, err
-	}
-	t := &Tree{
-		Root:       root,
-		ByKey:      map[Key]int32{},
-		Sources:    append([]Source(nil), sources...),
-		Bucket:     opt.Bucket,
-		Quadrupole: opt.Quadrupole,
-		MaxDepth:   opt.MaxDepth,
-	}
-	// Sort sources by Morton key. Key generation is embarrassingly
-	// parallel; the sort stays serial (it is not the dominant cost and
-	// serial pdqsort is deterministic). Equal keys — coincident or
-	// sub-cell-coincident particles — tie-break on the input index, so
-	// the permutation is the unique (key, index) total order: the same
-	// order the incremental maintainer's stable re-sort reproduces,
-	// which is what keeps a maintained tree bit-identical to Build.
-	keys := make([]Key, len(t.Sources))
-	idx := make([]int, len(t.Sources))
-	pool.For(len(t.Sources), keyGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			keys[i] = MortonKey(t.Sources[i].X, t.Sources[i].Y, t.Sources[i].Z, root)
-			idx[i] = i
-		}
-	})
-	sort.Slice(idx, func(a, b int) bool {
-		ka, kb := keys[idx[a]], keys[idx[b]]
-		if ka != kb {
-			return ka < kb
-		}
-		return idx[a] < idx[b]
-	})
-	sorted := make([]Source, len(t.Sources))
-	sortedKeys := make([]Key, len(t.Sources))
-	for i, j := range idx {
-		sorted[i] = t.Sources[j]
-		sortedKeys[i] = keys[j]
-	}
-	t.Sources = sorted
-
-	b := &builder{
-		sources:  t.Sources,
-		keys:     sortedKeys,
-		bucket:   t.Bucket,
-		maxDepth: t.MaxDepth,
-		quad:     t.Quadrupole,
-	}
-	if len(t.Sources) >= parallelBuild && pool.W != 1 {
-		b.buildParallel(RootKey, root, pool)
-	} else {
-		b.build(RootKey, root, 0, len(t.Sources), 0)
-	}
-	t.Nodes = b.nodes
-	for i := range t.Nodes {
-		t.ByKey[t.Nodes[i].Key] = int32(i)
-	}
-	return t, nil
+	c := TreeCache{pool: *par.New(opt.Workers)}
+	return c.build(sources, normalizeBuildOptions(opt))
 }
 
 // builder is a tree-construction arena: the recursion state plus the
